@@ -303,6 +303,13 @@ void Platform::enable_vcd(std::ostream& os) {
   impl_->fabric->enable_vcd(os);
 }
 
+const sim::KernelStats& Platform::rtl_kernel_stats() const {
+  if (impl_->model != ModelKind::kRtl) {
+    throw std::logic_error("kernel stats need the signal-level model");
+  }
+  return impl_->fabric->kernel().stats();
+}
+
 void Platform::enable_timeline(obs::Timeline& tl) {
   Impl& im = *impl_;
   if (im.model == ModelKind::kTlm) {

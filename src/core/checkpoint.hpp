@@ -14,6 +14,9 @@ namespace ahbp::obs {
 class SelfProfiler;
 class Timeline;
 }
+namespace ahbp::sim {
+struct KernelStats;
+}
 
 /// \file checkpoint.hpp
 /// Run control with checkpoint/restore: the steppable `Platform` and the
@@ -95,6 +98,10 @@ class Platform : public state::Snapshottable {
 
   /// RTL only: dump the architectural signals as VCD.  Call before run().
   void enable_vcd(std::ostream& os);
+
+  /// RTL only: the event kernel's activity counters (deltas, process
+  /// activations, signal commits, timed events) so far.
+  const sim::KernelStats& rtl_kernel_stats() const;
 
   /// Attach a structured event timeline (obs/timeline.hpp): registers one
   /// timeline process for this model and wires every emission point (master

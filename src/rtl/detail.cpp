@@ -7,7 +7,9 @@ namespace ahbp::rtl {
 
 namespace {
 std::string dname(unsigned i, const char* leaf) {
-  return "d" + std::to_string(i) + "." + leaf;
+  // Appended, not `"lit" + std::string`: GCC 12 -O3 flags that with a
+  // false-positive -Wrestrict.
+  return std::string("d").append(std::to_string(i)).append(".").append(leaf);
 }
 }  // namespace
 

@@ -66,7 +66,9 @@ RtlFabric::RtlFabric(const RtlFabricConfig& cfg,
     };
     master->bind_clock(clock_.signal());
     rtl_masters_.push_back(std::move(master));
-    master_profiles_[m].name = "M" + std::to_string(m);
+    // Appended, not `"lit" + std::string`: GCC 12 -O3 flags that with a
+    // false-positive -Wrestrict.
+    master_profiles_[m].name = std::string("M").append(std::to_string(m));
   }
 
   wbuf_ = std::make_unique<RtlWriteBuffer>(kernel_, cfg_.bus, masters_, sh_,

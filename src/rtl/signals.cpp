@@ -6,7 +6,9 @@ namespace ahbp::rtl {
 
 namespace {
 std::string mname(unsigned i, const char* leaf) {
-  return "m" + std::to_string(i) + "." + leaf;
+  // Appended, not `"lit" + std::string`: GCC 12 -O3 flags that with a
+  // false-positive -Wrestrict.
+  return std::string("m").append(std::to_string(i)).append(".").append(leaf);
 }
 }  // namespace
 

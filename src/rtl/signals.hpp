@@ -17,9 +17,11 @@
 ///
 /// This model pays the full pin-accurate cost on purpose: each clock edge
 /// re-evaluates master/arbiter/write-buffer/DDRC processes, every signal
-/// write runs the two-phase commit with subscriber wake-ups, and the
-/// address/data muxes settle combinationally through delta cycles.  The
-/// speed gap against the method-based TLM (paper §4) is exactly this
+/// write that changes a value runs the two-phase commit with subscriber
+/// wake-ups, and the address/data muxes settle combinationally through
+/// delta cycles.  Rewriting a wire with the value it already holds is not
+/// an event, exactly as in an HDL simulator, so it costs only the compare.
+/// The speed gap against the method-based TLM (paper §4) is exactly this
 /// machinery.
 
 namespace ahbp::rtl {

@@ -22,9 +22,12 @@ class SelfProfiler;
 ///
 ///  1. **Evaluate** — every runnable process executes.  Processes read
 ///     signals' current values and `write()` their next values.
-///  2. **Update** — all written signals commit.  Each signal whose value
-///     actually changed notifies its subscribed processes, making them
-///     runnable in the *next delta* of the same timestep.
+///  2. **Update** — every signal written with a new value commits.  Each
+///     signal whose value actually changed notifies its subscribed
+///     processes, making them runnable in the *next delta* of the same
+///     timestep.  A write of the value a signal already holds (with no
+///     other write pending) queues no commit at all: as in an HDL
+///     simulator, it is not an event.
 ///  3. Deltas repeat until no process is runnable, then simulated time
 ///     advances to the earliest pending timed event.
 ///
@@ -110,6 +113,9 @@ class SignalBase {
   /// Ask the kernel to call commit() in the next update phase (deduped).
   void request_update();
 
+  /// True between request_update() and the commit that services it.
+  bool update_pending() const noexcept { return update_pending_; }
+
   /// Notify subscribers after a committed change.  `rose`/`fell` qualify the
   /// transition for edge-filtered subscribers (bool signals only; other
   /// types pass rose=fell=false and only kAny subscribers fire).
@@ -142,8 +148,14 @@ class Signal final : public SignalBase {
   /// Current (committed) value.
   const T& read() const noexcept { return cur_; }
 
-  /// Schedule `v` to become the value in the next update phase.
+  /// Schedule `v` to become the value in the next update phase.  Writing
+  /// the committed value with no update pending is not an event (as in
+  /// SystemC's sc_signal::write): next_ == cur_ already holds, and the
+  /// commit would change nothing, so no update is queued at all.
   void write(const T& v) {
+    if (v == cur_ && !update_pending()) {
+      return;
+    }
     next_ = v;
     request_update();
   }

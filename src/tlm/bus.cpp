@@ -40,7 +40,9 @@ AhbPlusBus::AhbPlusBus(const ahb::BusConfig& cfg, ahb::QosRegisterFile& qos,
                   "bus.data_width_bytes must be 1, 2, 4 or 8");
   AHBP_ASSERT(qos.masters() == masters);
   for (unsigned m = 0; m < masters; ++m) {
-    master_profiles_[m].name = "M" + std::to_string(m);
+    // Appended, not `"lit" + std::string`: GCC 12 -O3 flags that with a
+    // false-positive -Wrestrict.
+    master_profiles_[m].name = std::string("M").append(std::to_string(m));
   }
   if (checker_log != nullptr) {
     checker_.emplace(

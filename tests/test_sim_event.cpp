@@ -57,9 +57,47 @@ TEST(Signal, NoNotifyWhenValueUnchanged) {
   int runs = 0;
   Process p(k, "p", [&] { ++runs; });
   s.subscribe(p);
-  s.write(7);  // same value: committed, but no change, no wakeup
+  s.write(7);  // same value: no change, no wakeup
   k.settle();
   EXPECT_EQ(runs, 0);
+}
+
+TEST(Signal, RewritingCommittedValueSchedulesNoUpdate) {
+  // HDL semantics (SystemC's sc_signal::write): writing the value a signal
+  // already holds is not an event.  The kernel stays settled — a snapshot
+  // is still legal — and no update phase or wake-up follows.
+  EventKernel k;
+  Signal<int> s(k, "s", 7);
+  int runs = 0;
+  Process p(k, "p", [&] { ++runs; });
+  s.subscribe(p);
+  s.write(7);
+  ahbp::state::StateWriter w;
+  EXPECT_NO_THROW(k.save_signals(w));
+  k.settle();
+  EXPECT_EQ(runs, 0);
+  EXPECT_EQ(k.stats().deltas, 0u);
+  EXPECT_EQ(k.stats().signal_commits, 0u);
+}
+
+TEST(Signal, WriteThenRestoreWithinOneDeltaFiresNothing) {
+  // A pending write must not be short-circuited by a later write of the
+  // committed value: the last write wins, and since it equals the current
+  // value the commit changes nothing and wakes nobody.
+  EventKernel k;
+  Signal<int> s(k, "s", 7);
+  int runs = 0;
+  Process watcher(k, "watcher", [&] { ++runs; });
+  s.subscribe(watcher);
+  Process writer(k, "writer", [&] {
+    s.write(8);
+    s.write(7);
+  });
+  writer.trigger();
+  k.settle();
+  EXPECT_EQ(s.read(), 7);
+  EXPECT_EQ(runs, 0);
+  EXPECT_EQ(k.stats().signal_commits, 0u);
 }
 
 TEST(Signal, PosedgeSubscriptionFiltersEdges) {
