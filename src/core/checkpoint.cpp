@@ -129,7 +129,6 @@ Platform::Platform(const PlatformConfig& cfg, ModelKind model)
     }
     im.ddrc = std::make_unique<tlm::TlmDdrc>(ddr_channel_configs(cfg),
                                              cfg.interleave, cfg.ddr_base);
-    im.ddrc->channels().set_step_threads(cfg.sim.ddr_threads);
     im.bus = std::make_unique<tlm::AhbPlusBus>(
         cfg.bus, *im.qos, *im.ddrc, n,
         cfg.enable_checkers ? &im.log : nullptr);
@@ -168,7 +167,6 @@ Platform::Platform(const PlatformConfig& cfg, ModelKind model)
             std::chrono::steady_clock::now() - e0)
             .count());
     impl_->fabric = std::make_unique<rtl::RtlFabric>(fc, std::move(scripts));
-    impl_->fabric->ddrc().channels().set_step_threads(cfg.sim.ddr_threads);
   }
 }
 

@@ -54,12 +54,6 @@ struct SimTuning {
   /// to `quantum` cycles at a time, bulk-replaying the per-cycle
   /// bookkeeping (stats, checker views, QoS epochs) for the gap.
   sim::Cycle quantum = 1;
-  /// Worker threads for stepping independent DDR channel engines in
-  /// parallel (effective only when `ddr.channels >= 2`).  1 (default) =
-  /// sequential.  Results are byte-identical regardless of the setting:
-  /// engines are data-independent within a cycle and commands are merged
-  /// on the calling thread in channel order.
-  unsigned ddr_threads = 1;
 
   bool operator==(const SimTuning&) const = default;
 };

@@ -84,10 +84,7 @@ ChannelSet::ChannelSet(const std::vector<ChannelConfig>& cfgs,
     engines_.push_back(std::make_unique<DdrcEngine>(c.timing, c.geom));
   }
   bank_base_ = bank_bases(cfgs);
-  cmd_slots_.resize(engines_.size());
 }
-
-ChannelSet::~ChannelSet() { stop_workers(); }
 
 bool ChannelSet::busy() const noexcept {
   return channels() == 1 ? engines_[0]->busy() : txn_active_;
@@ -228,15 +225,11 @@ Command ChannelSet::step(sim::Cycle now) {
     return c;
   }
   advance(now);
-  // Step every engine (possibly on worker threads — engines are
-  // data-independent within a cycle), then merge the per-channel command
-  // slots on this thread in channel order.  The merge is the only place
-  // that touches cross-channel state (timeline, live selection), so the
-  // result is byte-identical whatever the thread count.
-  step_engines(now);
+  // Each channel has its own command bus; timeline emission and live
+  // selection run in channel order.
   Command live{};
   for (std::uint32_t ch = 0; ch < channels(); ++ch) {
-    const Command& c = cmd_slots_[ch];
+    const Command c = engines_[ch]->step(now);
     if (tl_ != nullptr) {
       emit_command(ch, c, now);
     }
@@ -246,95 +239,6 @@ Command ChannelSet::step(sim::Cycle now) {
     }
   }
   return live;
-}
-
-void ChannelSet::step_engines(sim::Cycle now) {
-  if (workers_.empty()) {
-    for (std::uint32_t ch = 0; ch < channels(); ++ch) {
-      cmd_slots_[ch] = engines_[ch]->step(now);
-    }
-    return;
-  }
-  // Publish the cycle and open the generation gate.  Workers and the
-  // calling thread race on the claim cursor; each claimed channel is
-  // stepped exactly once into its slot.
-  step_now_ = now;
-  step_cursor_.store(0, std::memory_order_relaxed);
-  step_done_.store(0, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(step_mutex_);
-    ++step_gen_;
-  }
-  step_cv_.notify_all();
-  for (;;) {
-    const std::uint32_t ch =
-        step_cursor_.fetch_add(1, std::memory_order_relaxed);
-    if (ch >= channels()) {
-      break;
-    }
-    cmd_slots_[ch] = engines_[ch]->step(now);
-  }
-  // Barrier: wait until every worker has drained the cursor.  The
-  // release-increment in the workers pairs with this acquire loop, so all
-  // engine mutations are visible before the merge.
-  const auto target = static_cast<std::uint32_t>(workers_.size());
-  while (step_done_.load(std::memory_order_acquire) != target) {
-    std::this_thread::yield();
-  }
-}
-
-void ChannelSet::worker_loop() {
-  std::uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(step_mutex_);
-      step_cv_.wait(lk, [&] { return workers_stop_ || step_gen_ != seen; });
-      if (workers_stop_) {
-        return;
-      }
-      seen = step_gen_;
-    }
-    const sim::Cycle now = step_now_;
-    for (;;) {
-      const std::uint32_t ch =
-          step_cursor_.fetch_add(1, std::memory_order_relaxed);
-      if (ch >= channels()) {
-        break;
-      }
-      cmd_slots_[ch] = engines_[ch]->step(now);
-    }
-    step_done_.fetch_add(1, std::memory_order_release);
-  }
-}
-
-void ChannelSet::stop_workers() {
-  if (workers_.empty()) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lk(step_mutex_);
-    workers_stop_ = true;
-  }
-  step_cv_.notify_all();
-  for (std::thread& t : workers_) {
-    t.join();
-  }
-  workers_.clear();
-  workers_stop_ = false;
-}
-
-void ChannelSet::set_step_threads(unsigned n) {
-  stop_workers();
-  if (n <= 1 || channels() <= 1) {
-    return;
-  }
-  // The calling thread participates, so spawn one fewer worker; more
-  // threads than channels would only contend on the cursor.
-  const unsigned spawn = std::min(n, channels()) - 1;
-  workers_.reserve(spawn);
-  for (unsigned i = 0; i < spawn; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
 }
 
 sim::Cycle ChannelSet::idle_until(sim::Cycle now) const noexcept {

@@ -1,12 +1,8 @@
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "ddr/interleave.hpp"
@@ -113,7 +109,6 @@ class ChannelSet {
   /// One resolved configuration per channel; `cfgs.size()` must equal
   /// `ilv.channels` and `ilv.valid()` must hold.
   ChannelSet(const std::vector<ChannelConfig>& cfgs, const Interleave& ilv);
-  ~ChannelSet();
 
   ChannelSet(const ChannelSet&) = delete;
   ChannelSet& operator=(const ChannelSet&) = delete;
@@ -143,15 +138,6 @@ class ChannelSet {
   /// the channel serving the bus-facing segment (kNop when none) so
   /// wrappers/tracers keep a single-command view of the live transfer.
   Command step(sim::Cycle now);
-
-  /// Use up to `n` threads (including the calling thread) to step the
-  /// channel engines each cycle.  1 (default) = sequential.  Engines are
-  /// data-independent within a cycle and every cross-engine decision
-  /// (timeline emission, live-command selection) happens on the calling
-  /// thread in channel order after a full barrier, so results are
-  /// byte-identical to sequential stepping regardless of `n`.  Clamped to
-  /// the channel count; a no-op for single-channel sets.
-  void set_step_threads(unsigned n);
 
   /// Lower bound on the set's next "interesting" cycle: step(t) is
   /// guaranteed state-preserving for every t in [now, idle_until(now)).
@@ -243,11 +229,6 @@ class ChannelSet {
   /// Timeline emission for one channel's command this cycle.
   void emit_command(std::uint32_t ch, const Command& c, sim::Cycle now);
 
-  /// Step every engine into cmd_slots_ (parallel when workers are up).
-  void step_engines(sim::Cycle now);
-  void worker_loop();
-  void stop_workers();
-
   std::vector<std::unique_ptr<DdrcEngine>> engines_;
   Interleave ilv_;
   std::vector<std::uint32_t> bank_base_;  ///< size channels + 1
@@ -256,20 +237,6 @@ class ChannelSet {
   std::vector<Segment> segments_;
   std::size_t active_ = 0;  ///< bus-facing segment index
   std::vector<ahb::Addr> split_scratch_;  ///< per-beat addresses (reused)
-
-  /// Parallel stepping state (inactive unless set_step_threads(>1)).
-  /// Workers claim channels from an atomic cursor into cmd_slots_; the
-  /// caller participates, then waits for the done-count barrier before
-  /// merging in channel order on its own thread.
-  std::vector<Command> cmd_slots_;        ///< per-channel step result
-  std::vector<std::thread> workers_;
-  std::mutex step_mutex_;
-  std::condition_variable step_cv_;
-  std::uint64_t step_gen_ = 0;            ///< bumped under step_mutex_
-  bool workers_stop_ = false;
-  sim::Cycle step_now_ = 0;               ///< published before the gen bump
-  std::atomic<std::uint32_t> step_cursor_{0};
-  std::atomic<std::uint32_t> step_done_{0};
 
   /// Timeline wiring (null when recording is off; never snapshotted).
   obs::Timeline* tl_ = nullptr;

@@ -340,12 +340,6 @@ void apply_sim(core::PlatformConfig& cfg, std::string_view key,
       throw ScenarioError("sim.quantum must be >= 1", line);
     }
     cfg.sim.quantum = q;
-  } else if (key == "ddr_threads") {
-    const std::uint64_t t = parse_u64(value, line);
-    if (t < 1) {
-      throw ScenarioError("sim.ddr_threads must be >= 1", line);
-    }
-    cfg.sim.ddr_threads = static_cast<unsigned>(t);
   } else {
     throw ScenarioError("unknown [sim] key '" + std::string(key) + "'", line);
   }
@@ -425,6 +419,18 @@ void validate(const core::PlatformConfig& cfg) {
                                               cfg.interleave,
                                               cfg.ddr_channels);
   for (std::size_t k = 0; k < channels.size(); ++k) {
+    // The same rule BankEngine enforces at construction, surfaced here so
+    // `lint` and sweep expansion reject it before any cycles run.  A
+    // channel inheriting a bad shared timing blames `[ddr]`; one whose own
+    // overrides break a good shared timing blames its `[channel k]`.
+    const std::string bad_timing = channels[k].timing.validate();
+    if (!bad_timing.empty()) {
+      throw ScenarioError(
+          (cfg.timing.validate().empty()
+               ? "[channel " + std::to_string(k) + "]"
+               : std::string("[ddr]")) +
+          " invalid timing: " + bad_timing);
+    }
     const std::uint64_t cap = channels[k].geom.capacity();
     if (cfg.interleave.channels > 1 &&
         cap % cfg.interleave.stripe_bytes != 0) {
@@ -585,9 +591,6 @@ std::string serialize(const core::PlatformConfig& cfg) {
     os << "\n[sim]\n";
     if (cfg.sim.quantum != 1) {
       os << "quantum = " << cfg.sim.quantum << "\n";
-    }
-    if (cfg.sim.ddr_threads != 1) {
-      os << "ddr_threads = " << cfg.sim.ddr_threads << "\n";
     }
   }
 

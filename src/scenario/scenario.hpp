@@ -86,12 +86,13 @@ void apply_key(core::PlatformConfig& cfg, std::string_view dotted_key,
 
 /// Whole-config consistency checks a single setter cannot make: the
 /// interleave parameters, that channel overrides name existing channels,
-/// that the stripe divides every channel's capacity, and that each
-/// master's address window fits the DDR aperture (capacity x channels
-/// from ddr_base) — `ddr_base` used to be parsed independently of the
-/// geometry, so a scenario could target an aperture the device silently
-/// wrapped.  parse() and sweep expansion both end with this.
-/// Throws ScenarioError.
+/// that every resolved channel's DDR timing is self-consistent
+/// (DdrTiming::validate), that the stripe divides every channel's
+/// capacity, and that each master's address window fits the DDR aperture
+/// (capacity x channels from ddr_base) — `ddr_base` used to be parsed
+/// independently of the geometry, so a scenario could target an aperture
+/// the device silently wrapped.  parse() and sweep expansion both end
+/// with this.  Throws ScenarioError.
 void validate(const core::PlatformConfig& cfg);
 
 }  // namespace ahbp::scenario

@@ -44,10 +44,9 @@ namespace ahbp::state {
 /// ScriptSource records a content hash of its consumed script prefix, so a
 /// warm-up fork whose stimulus diverges from the snapshotted run is
 /// detected (ForkDivergence) instead of silently replaying inconsistent
-/// state.  v5: the sweep-farm wire protocol (farm/protocol.hpp) rides the
-/// same format — new `farm-msg` message envelope carrying hello / batch /
-/// outcome / shutdown records between coordinator and workers.
-inline constexpr std::uint32_t kFormatVersion = 5;
+/// state.  v5: `farm-msg` envelope for the process sweep farm's wire
+/// protocol.  v6: `farm-msg` dropped along with the farm.
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 /// Any save/restore failure: malformed file, version mismatch, type or
 /// section-tag mismatch, or a component-level incompatibility (e.g. a

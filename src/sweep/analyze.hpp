@@ -111,7 +111,7 @@ void write_report(std::ostream& os, const LintReport& r);
 
 // ------------------------------------------------------------ sensitivity --
 // "Which knob moved the cycle count": post-sweep per-axis analysis over the
-// outcomes the runner (or the farm) already produced.  For each swept axis,
+// outcomes the runner already produced.  For each swept axis,
 // every combination of the *other* axes' values forms one group; within a
 // group only that axis varies, so the spread of `cycles` inside the group
 // is that knob's isolated effect.  `ahbp_sim sweep --sensitivity` surfaces
@@ -137,7 +137,7 @@ struct AxisSensitivity {
 /// that actually ran).  Points with a non-empty error or without the
 /// requested model are skipped.  Sorted by descending max_spread, ties in
 /// axis order.  Outcomes must be the expansion of `spec` (index-aligned),
-/// as produced by SweepRunner::run or farm::Coordinator::run.
+/// as produced by SweepRunner::run.
 std::vector<AxisSensitivity> sensitivity(
     const SweepSpec& spec, const std::vector<PointOutcome>& outcomes,
     bool use_rtl);

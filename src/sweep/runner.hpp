@@ -80,9 +80,8 @@ struct PointOutcome {
 
 /// Warm `base` up for `warmup_cycles` once per requested model — serial —
 /// and seal the snapshot images into `warm_tlm` / `warm_rtl` (left empty
-/// for models not requested, or when `warmup_cycles == 0`).  Shared by
-/// `SweepRunner` and the farm coordinator (src/farm/) so an in-process
-/// sweep and a farmed sweep fork every point from byte-identical state.
+/// for models not requested, or when `warmup_cycles == 0`).  Public so a
+/// caller can time the warm-up apart from the per-point work.
 void warm_snapshots(const core::PlatformConfig& base, Model model,
                     sim::Cycle warmup_cycles,
                     std::vector<std::uint8_t>& warm_tlm,
@@ -92,9 +91,8 @@ void warm_snapshots(const core::PlatformConfig& base, Model model,
 /// model from the matching snapshot when non-empty (demoting to a cold run
 /// on state::ForkDivergence), run cold otherwise.  Exceptions land in
 /// `PointOutcome::error`, never escape.  This is the single simulation
-/// path behind both `SweepRunner::run` and the farm worker loop — the
-/// byte-identical-CSV guarantee across `--jobs` and `--farm-workers` rests
-/// on everything funnelling through here.
+/// path behind `SweepRunner::run` — the byte-identical-CSV guarantee
+/// across `--jobs` rests on every point funnelling through here.
 PointOutcome simulate_point(const SweepPoint& point, Model model,
                             const std::vector<std::uint8_t>& warm_tlm,
                             const std::vector<std::uint8_t>& warm_rtl);

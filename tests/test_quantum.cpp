@@ -2,9 +2,7 @@
 // changes *speed only*: for every registry preset and every quantum, cycle
 // counts, retired transactions, per-master stall attribution, and every
 // other simulated statistic must be bit-identical to classic cycle-by-cycle
-// stepping.  Also pins checkpoint-at-mid-quantum restore equivalence and
-// the parallel DDR channel stepping determinism (sim.ddr_threads), which
-// carries the same results-independent contract.
+// stepping.  Also pins checkpoint-at-mid-quantum restore equivalence.
 
 #include <gtest/gtest.h>
 
@@ -33,10 +31,8 @@ std::string canonical(core::SimResult r) {
   return os.str();
 }
 
-std::string run_canonical(core::PlatformConfig cfg, sim::Cycle quantum,
-                          unsigned ddr_threads = 1) {
+std::string run_canonical(core::PlatformConfig cfg, sim::Cycle quantum) {
   cfg.sim.quantum = quantum;
-  cfg.sim.ddr_threads = ddr_threads;
   return canonical(core::run_tlm(cfg));
 }
 
@@ -103,25 +99,6 @@ TEST(Quantum, ResumeUnderDifferentQuantumIsBitExact) {
   fork.restore_state(r);
   fork.run_to_completion();
   EXPECT_EQ(straight, canonical(fork.result()));
-}
-
-TEST(Quantum, DdrThreadsAreResultsInvariant) {
-  // Parallel channel stepping: independent DdrcEngines stepped by a worker
-  // pool with command merge on the calling thread in channel order.  Every
-  // thread count must produce byte-identical statistics; this test is part
-  // of the TSan CI matrix, which additionally proves the barrier is
-  // race-free.
-  const auto& reg = scenario::ScenarioRegistry::builtin();
-  auto cfg = reg.build("table1/dma-1", /*items=*/80);
-  cfg.interleave.channels = 4;
-
-  const std::string baseline = run_canonical(cfg, 1, 1);
-  for (unsigned threads : {2u, 4u}) {
-    SCOPED_TRACE("ddr_threads=" + std::to_string(threads));
-    EXPECT_EQ(baseline, run_canonical(cfg, 1, threads));
-  }
-  // Threads and quantum compose.
-  EXPECT_EQ(baseline, run_canonical(cfg, 64, 4));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "scenario/registry.hpp"
 #include "scenario/scenario.hpp"
+#include "sweep/spec.hpp"
 
 namespace {
 
@@ -196,6 +197,45 @@ TEST(ScenarioChannels, BadChannelValuesRejected) {
   EXPECT_EQ(cfg.ddr_channels.at(1).tCL, 4u);
 }
 
+/// The ScenarioError text of parsing `text`, or "" when it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    scenario::parse(text);
+  } catch (const ScenarioError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(ScenarioChannels, InconsistentTimingRejectedNamingSection) {
+  // tRC below tRAS + tRP used to lint clean and die at run time inside
+  // BankEngine; validate() now applies the same rule per resolved channel.
+  const std::string shared = parse_error("[ddr]\ntRC = 5\n");
+  EXPECT_NE(shared.find("[ddr]"), std::string::npos) << shared;
+  EXPECT_NE(shared.find("tRC must be >= tRAS + tRP"), std::string::npos)
+      << shared;
+  // The rule, not a floor: a tRC of 5 is fine when tRAS + tRP allow it.
+  EXPECT_EQ(parse_error("[ddr]\ntRAS = 3\ntRP = 2\ntRC = 5\n"), "");
+
+  // A channel override that breaks a good shared timing blames itself.
+  const std::string channel =
+      parse_error("[ddr]\nchannels = 2\n[channel 1]\ntRC = 5\n");
+  EXPECT_NE(channel.find("[channel 1]"), std::string::npos) << channel;
+  EXPECT_NE(channel.find("tRC must be >= tRAS + tRP"), std::string::npos)
+      << channel;
+
+  // Sweep axes are applied key by key; expand() re-validates each point.
+  const auto spec = sweep::parse_spec(
+      "base = single-master\n[sweep]\nddr.tRC = 5, 10\n");
+  try {
+    sweep::expand(spec);
+    FAIL() << "ddr.tRC = 5 expanded";
+  } catch (const ScenarioError& e) {
+    EXPECT_NE(std::string(e.what()).find("[ddr]"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ScenarioChannels, ApertureMustFitCapacityTimesChannels) {
   // Latent ddr_base coupling (fixed): a master window larger than the
   // device is rejected at parse instead of silently wrapping.  The default
@@ -325,20 +365,16 @@ TEST(ScenarioErrors, CheckpointBadKeysRejected) {
 TEST(ScenarioRoundTrip, SimSectionSurvives) {
   auto cfg = scenario::ScenarioRegistry::builtin().build("single-master");
   cfg.sim.quantum = 1024;
-  cfg.sim.ddr_threads = 4;
 
   const std::string text = scenario::serialize(cfg);
   EXPECT_NE(text.find("[sim]"), std::string::npos);
   const auto rt = scenario::parse(text);
   EXPECT_EQ(rt.sim.quantum, 1024u);
-  EXPECT_EQ(rt.sim.ddr_threads, 4u);
   EXPECT_EQ(scenario::serialize(rt), text);
 
   // Dotted overrides reach the knobs (sweepable like any other).
   scenario::apply_key(cfg, "sim.quantum", "8");
-  scenario::apply_key(cfg, "sim.ddr_threads", "2");
   EXPECT_EQ(cfg.sim.quantum, 8u);
-  EXPECT_EQ(cfg.sim.ddr_threads, 2u);
 
   // Defaults serialize to no section at all (canonical minimal form).
   const auto plain =
@@ -353,7 +389,24 @@ TEST(ScenarioErrors, SimBadKeysRejected) {
                scenario::ScenarioError);
   EXPECT_THROW(scenario::parse("[sim]\nquantum = 0\n"),
                scenario::ScenarioError);
-  EXPECT_THROW(scenario::parse("[sim]\nddr_threads = 0\n"),
+}
+
+TEST(ScenarioErrors, DdrThreadsKeyIsUnknown) {
+  // The key no longer exists; a scenario that still sets it must fail
+  // loudly rather than be silently accepted.
+  for (const char* text : {"[sim]\nddr_threads = 1\n",
+                           "[sim]\nddr_threads = 4\n"}) {
+    try {
+      scenario::parse(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const scenario::ScenarioError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown [sim] key 'ddr_threads'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  auto cfg = scenario::ScenarioRegistry::builtin().build("single-master");
+  EXPECT_THROW(scenario::apply_key(cfg, "sim.ddr_threads", "2"),
                scenario::ScenarioError);
 }
 

@@ -1,7 +1,8 @@
 // Sweep subsystem: cross-product expansion is exact and ordered, the
 // threaded runner produces byte-identical aggregates at any worker count
-// (results are keyed by expansion index, never completion order), and spec
-// files compose with the scenario layer.
+// (results are keyed by expansion index, never completion order), warm-up
+// forks demote exactly the points whose stimulus diverged, and spec files
+// compose with the scenario layer.
 
 #include <gtest/gtest.h>
 
@@ -244,6 +245,78 @@ TEST(SweepRunner, BothModelsProduceAccuracyColumn) {
   }
   const std::string text = render(outcomes, sweep::Model::kBoth);
   EXPECT_NE(text.find("error"), std::string::npos);
+}
+
+std::string point_csv(const std::vector<sweep::PointOutcome>& outcomes,
+                      sweep::Model model) {
+  std::ostringstream os;
+  sweep::write_point_csv(os, outcomes, model);
+  return os.str();
+}
+
+TEST(SweepRunner, BothModelsIdenticalAcrossJobCounts) {
+  const auto points = sweep::expand(sweep::parse_spec(
+      "base = table1/cpu-1\n"
+      "[master *]\nitems = 30\n"
+      "[sweep]\n"
+      "bus.write_buffer_depth = 2, 4\n"
+      "master0.items = 30, 33\n"));
+  ASSERT_EQ(points.size(), 4u);
+
+  const auto seq = sweep::SweepRunner(1).run(points, sweep::Model::kBoth);
+  const auto par = sweep::SweepRunner(4).run(points, sweep::Model::kBoth);
+  for (const auto& o : seq) {
+    EXPECT_TRUE(o.error.empty()) << o.index << ": " << o.error;
+    EXPECT_TRUE(o.has_tlm);
+    EXPECT_TRUE(o.has_rtl);
+  }
+  EXPECT_EQ(point_csv(seq, sweep::Model::kBoth),
+            point_csv(par, sweep::Model::kBoth));
+  EXPECT_EQ(render(seq, sweep::Model::kBoth), render(par, sweep::Model::kBoth));
+}
+
+TEST(SweepRunner, WarmForkDemotesExactlyTheDivergentPoints) {
+  // A swept seed reshapes master0's stimulus prefix, so those points
+  // cannot fork from the warm base: they are demoted to cold runs, at any
+  // worker count, and report exactly what a cold sweep reports.
+  const auto spec = sweep::parse_spec(R"(
+base = table1/cpu-1
+
+[master *]
+items = 40
+
+[sweep]
+master0.seed = 1, 7
+master0.items = 40, 44, 48
+)");
+  const auto points = sweep::expand(spec);
+  ASSERT_EQ(points.size(), 6u);
+  const sim::Cycle warmup = 400;
+
+  const auto cold = sweep::SweepRunner(1).run(points, sweep::Model::kTlm);
+  const auto warm1 = sweep::SweepRunner(1).run(points, sweep::Model::kTlm,
+                                               spec.base_config, warmup);
+  const auto warm4 = sweep::SweepRunner(4).run(points, sweep::Model::kTlm,
+                                               spec.base_config, warmup);
+  EXPECT_EQ(point_csv(warm1, sweep::Model::kTlm),
+            point_csv(warm4, sweep::Model::kTlm));
+
+  // seed = 1 is the base's own seed (points 0-2 fork clean); seed = 7
+  // (points 3-5) diverges inside the warm-up.
+  std::size_t demoted = 0;
+  for (std::size_t i = 0; i < warm1.size(); ++i) {
+    SCOPED_TRACE(warm1[i].label);
+    EXPECT_TRUE(warm1[i].error.empty()) << warm1[i].error;
+    EXPECT_EQ(warm1[i].demoted, i >= 3);
+    demoted += warm1[i].demoted ? 1u : 0u;
+    if (warm1[i].demoted) {
+      auto as_cold = warm1[i];
+      as_cold.demoted = false;
+      EXPECT_EQ(point_csv({as_cold}, sweep::Model::kTlm),
+                point_csv({cold[i]}, sweep::Model::kTlm));
+    }
+  }
+  EXPECT_EQ(demoted, 3u);
 }
 
 TEST(SweepRunner, FailedPointIsReportedNotFatal) {

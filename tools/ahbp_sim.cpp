@@ -14,7 +14,7 @@
 //                           [--progress] [--self-profile]
 //   ahbp_sim checkpoint <scenario> --at N --out FILE [--model tlm|rtl]
 //   ahbp_sim resume <checkpoint> [--vcd FILE] [--csv] [--quiet]
-//   ahbp_sim sweep <spec> [--jobs N | --farm-workers N]
+//   ahbp_sim sweep <spec> [--jobs N]
 //                         [--model tlm|rtl|both] [--csv FILE]
 //                         [--warmup-cycles N] [--speed] [--progress]
 //                         [--sensitivity]
@@ -37,12 +37,8 @@
 #include <string_view>
 #include <vector>
 
-#include <unistd.h>
-
 #include "core/checkpoint.hpp"
 #include "core/platform.hpp"
-#include "farm/coordinator.hpp"
-#include "farm/worker.hpp"
 #include "obs/selfprof.hpp"
 #include "obs/timeline.hpp"
 #include "scenario/registry.hpp"
@@ -110,13 +106,6 @@ int usage(std::ostream& os, int code) {
         "  sweep <spec>              expand and run a sweep file\n"
         "      --jobs N              worker threads (default 1, 0 = all"
         " cores)\n"
-        "      --farm-workers N      shard points across N worker"
-        " *processes*\n"
-        "                            instead of threads: the base is warmed\n"
-        "                            once, snapshot bytes ship to each"
-        " worker,\n"
-        "                            dead workers' points are re-issued;\n"
-        "                            output is byte-identical to --jobs\n"
         "      --sensitivity         per-axis report after the table: how"
         " far\n"
         "                            cycles moved when only that axis"
@@ -551,7 +540,7 @@ int cmd_resume(const std::string& path, const std::string& vcd_path, bool csv,
 }
 
 int cmd_sweep(const std::string& path, const std::string& model_s,
-              unsigned jobs, unsigned farm_workers,
+              unsigned jobs,
               const std::string& csv_path, bool speed,
               double max_cycle_error, std::uint64_t warmup_cycles,
               bool progress, bool sensitivity) {
@@ -572,47 +561,18 @@ int cmd_sweep(const std::string& path, const std::string& model_s,
     std::cout << ", forked from a " << warmup_cycles
               << "-cycle warm-up of the base";
   }
-  if (farm_workers > 0) {
-    std::cout << ", farmed across " << farm_workers << " worker process(es)";
-  }
   std::cout << "\n\n";
 
   std::mutex progress_mu;
-  std::vector<sweep::PointOutcome> outcomes;
-  if (farm_workers > 0) {
-    farm::FarmOptions opts;
-    opts.workers = farm_workers;
-    opts.warmup_cycles = warmup_cycles;
-    // Re-exec this binary as the worker so the farm exercises the same
-    // process-boundary path a remote (socketed) deployment would; if
-    // /proc/self/exe is unreadable the coordinator falls back to fork-only
-    // workers, which share the already-loaded image.
-    char exe_buf[4096];
-    const ssize_t exe_len =
-        ::readlink("/proc/self/exe", exe_buf, sizeof(exe_buf) - 1);
-    if (exe_len > 0) {
-      exe_buf[exe_len] = '\0';
-      opts.worker_command = {exe_buf, "farm-worker"};
-    }
-    if (progress) {
-      opts.progress = [&progress_mu](std::size_t done, std::size_t total) {
-        const std::lock_guard<std::mutex> lock(progress_mu);
-        std::cerr << "# sweep: " << done << "/" << total << " points done\n";
-      };
-    }
-    outcomes = farm::Coordinator(opts).run(spec, model);
-  } else {
-    sweep::SweepRunner runner(jobs);
-    if (progress) {
-      runner.set_progress(
-          [&progress_mu](std::size_t done, std::size_t total) {
-            const std::lock_guard<std::mutex> lock(progress_mu);
-            std::cerr << "# sweep: " << done << "/" << total
-                      << " points done\n";
-          });
-    }
-    outcomes = runner.run(points, model, spec.base_config, warmup_cycles);
+  sweep::SweepRunner runner(jobs);
+  if (progress) {
+    runner.set_progress([&progress_mu](std::size_t done, std::size_t total) {
+      const std::lock_guard<std::mutex> lock(progress_mu);
+      std::cerr << "# sweep: " << done << "/" << total << " points done\n";
+    });
   }
+  const std::vector<sweep::PointOutcome> outcomes =
+      runner.run(points, model, spec.base_config, warmup_cycles);
 
   stats::TextTable table = sweep::aggregate_table(outcomes, model, speed);
   table.print(std::cout);
@@ -820,32 +780,6 @@ int main(int argc, char** argv) {
   }
   const std::string cmd = args[0];
 
-  // Hidden entry point: `ahbp_sim farm-worker [--in FD --out FD]` is what
-  // the sweep-farm coordinator execs (farm/coordinator.hpp).  It serves one
-  // connection on the given descriptors (default stdin/stdout) and exits;
-  // it is not part of the user-facing CLI, so it bypasses the uniform
-  // option machinery below.
-  if (cmd == "farm-worker") {
-    int in_fd = 0, out_fd = 1;
-    for (std::size_t i = 1; i + 1 < args.size(); i += 2) {
-      if (args[i] == "--in") {
-        in_fd = std::atoi(args[i + 1].c_str());
-      } else if (args[i] == "--out") {
-        out_fd = std::atoi(args[i + 1].c_str());
-      } else {
-        std::cerr << "farm-worker: unknown option '" << args[i] << "'\n";
-        return 2;
-      }
-    }
-    try {
-      farm::worker_loop(in_fd, out_fd);
-      return 0;
-    } catch (const std::exception& e) {
-      std::cerr << "farm-worker: " << e.what() << "\n";
-      return 3;
-    }
-  }
-
   // Collect options and positionals uniformly; which options each command
   // accepts is checked afterwards so irrelevant flags error instead of
   // being silently ignored.
@@ -867,9 +801,7 @@ int main(int argc, char** argv) {
   std::uint64_t first = 0;                    // trace slice --first N
   std::uint64_t count = ~std::uint64_t{0};    // trace slice --count K
   unsigned jobs = 1;
-  unsigned farm_workers = 0;   // sweep --farm-workers N (0 = in-process)
   std::string register_name;   // run --register NAME
-  bool explicit_jobs = false;
   bool csv = false, quiet = false, speed = false;
   bool progress = false, self_profile = false, strict = false;
   bool sensitivity = false;    // sweep --sensitivity
@@ -955,14 +887,6 @@ int main(int argc, char** argv) {
       warmup_cycles = need_unsigned(i, ~std::uint64_t{0});
     } else if (a == "--jobs") {
       jobs = static_cast<unsigned>(need_unsigned(i, 4096));
-      explicit_jobs = true;
-    } else if (a == "--farm-workers") {
-      farm_workers = static_cast<unsigned>(need_unsigned(i, 4096));
-      if (farm_workers == 0) {
-        std::cerr << "--farm-workers must be nonzero (omit the flag for the"
-                     " in-process runner)\n";
-        return 2;
-      }
     } else if (a == "--register") {
       register_name = need_value(i);
       if (register_name.empty() || register_name[0] == '-') {
@@ -1112,17 +1036,12 @@ int main(int argc, char** argv) {
       return cmd_resume(positional, vcd_path, csv, quiet);
     }
     if (cmd == "sweep") {
-      if (!check_options({"--jobs", "--farm-workers", "--model", "--csv",
-                          "--speed", "--max-cycle-error", "--warmup-cycles",
+      if (!check_options({"--jobs", "--model", "--csv", "--speed",
+                          "--max-cycle-error", "--warmup-cycles",
                           "--progress", "--sensitivity"})) {
         return 2;
       }
-      if (farm_workers > 0 && explicit_jobs) {
-        std::cerr << "--jobs (threads) and --farm-workers (processes) are"
-                     " two parallelism modes: pick one\n";
-        return 2;
-      }
-      return cmd_sweep(positional, model, jobs, farm_workers, csv_path,
+      return cmd_sweep(positional, model, jobs, csv_path,
                        speed, max_cycle_error, warmup_cycles, progress,
                        sensitivity);
     }
