@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "rtl/bitlevel.hpp"
 #include "sim/clock.hpp"
 #include "sim/cycle_kernel.hpp"
 #include "sim/event_kernel.hpp"
@@ -95,6 +96,27 @@ void BM_SignalRewriteUnchanged(benchmark::State& state) {
   benchmark::DoNotOptimize(s.read());
 }
 BENCHMARK(BM_SignalRewriteUnchanged);
+
+// One 32-pin bus driven with a random word and settled: the bit-level
+// layer's per-edge cost class (`pin.haddr` and friends).  The pins are one
+// packed kernel signal; each flipped bit still counts as its own commit.
+void BM_BitBusDrive(benchmark::State& state) {
+  EventKernel k;
+  ahbp::rtl::BitBus bus(k, "pin", 32);
+  std::uint64_t x = 0x9E3779B97F4A7C15ULL;
+  for (auto _ : state) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    bus.drive(x);
+    k.settle();
+  }
+  benchmark::DoNotOptimize(bus.sample());
+  state.counters["commits_per_drive"] = benchmark::Counter(
+      static_cast<double>(k.stats().signal_commits),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_BitBusDrive);
 
 // Delta cascade: a chain of N combinational processes settles per write —
 // the ripple/mux cost class of the pin-level model.

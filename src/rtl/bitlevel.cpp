@@ -4,31 +4,6 @@
 
 namespace ahbp::rtl {
 
-BitBus::BitBus(sim::EventKernel& k, const std::string& base, unsigned width)
-    : width_(width) {
-  bits_.reserve(width);
-  for (unsigned i = 0; i < width; ++i) {
-    bits_.push_back(std::make_unique<sim::Signal<bool>>(
-        k, base + ".b" + std::to_string(i)));
-  }
-}
-
-void BitBus::drive(std::uint64_t v) {
-  for (unsigned i = 0; i < width_; ++i) {
-    bits_[i]->write(((v >> i) & 1ULL) != 0);
-  }
-}
-
-std::uint64_t BitBus::sample() const {
-  std::uint64_t v = 0;
-  for (unsigned i = 0; i < width_; ++i) {
-    if (bits_[i]->read()) {
-      v |= 1ULL << i;
-    }
-  }
-  return v;
-}
-
 RippleIncrementer::RippleIncrementer(sim::EventKernel& k,
                                      const std::string& base, BitBus& input,
                                      sim::Signal<std::uint8_t>& step)
@@ -48,25 +23,16 @@ RippleIncrementer::RippleIncrementer(sim::EventKernel& k,
   // and the outgoing carry.  Carries chain the processes so an increment
   // ripples across delta cycles like a real adder netlist.
   for (unsigned n = 0; n < nibbles; ++n) {
-    auto body = [this, n, width] {
-      unsigned acc = 0;
-      for (unsigned b = 0; b < 4; ++b) {
-        const unsigned i = n * 4 + b;
-        if (i < width && in_.bit(i).read()) {
-          acc += 1U << b;
-        }
-      }
+    auto body = [this, n] {
+      const unsigned shift = n * 4;
+      unsigned acc = static_cast<unsigned>((in_.sample() >> shift) & 0xFU);
       if (n == 0) {
         acc += step_.read();
       } else if (carry_[n - 1]->read()) {
         acc += 1;
       }
-      for (unsigned b = 0; b < 4; ++b) {
-        const unsigned i = n * 4 + b;
-        if (i < width) {
-          sum_->bit(i).write(((acc >> b) & 1U) != 0);
-        }
-      }
+      sum_->wires().write_masked(0xFULL << shift,
+                                 static_cast<std::uint64_t>(acc) << shift);
       carry_[n]->write(acc >= 16);
     };
     nibbles_.push_back(std::make_unique<sim::Process>(
@@ -75,7 +41,7 @@ RippleIncrementer::RippleIncrementer(sim::EventKernel& k,
     for (unsigned b = 0; b < 4; ++b) {
       const unsigned i = n * 4 + b;
       if (i < width) {
-        in_.bit(i).subscribe(p);
+        in_.wires().subscribe_bit(i, p);
       }
     }
     if (n == 0) {

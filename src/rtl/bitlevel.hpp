@@ -14,35 +14,42 @@
 /// "Pin-accurate RTL" in the paper's sense is bit-true: HADDR[31:0],
 /// HWDATA[31:0] and HRDATA[31:0] are 32 individual pins, and the fabric's
 /// adders/muxes are gate netlists whose internal nodes all schedule events.
-/// This layer blasts the shared buses into per-bit signals and implements
+/// This layer blasts the shared buses into per-bit wires and implements
 /// each master's sequential-address incrementer as a ripple-carry chain of
 /// nibble processes connected by carry wires — so one address change
 /// settles through a cascade of delta cycles exactly as an event-driven
 /// RTL simulator would evaluate it.
+///
+/// The pins of one bus are packed into a single `sim::BitVector` (one
+/// registry entry, e.g. `pin.haddr`), but each bit is still its own
+/// event: a changed bit counts one committed change and wakes only the
+/// processes subscribed to that bit, so the kernel's deltas, activations
+/// and commits are those of one `Signal<bool>` per pin.  Packing removes
+/// per-pin bookkeeping, not events.
 ///
 /// Every bit carries its true value; disabling the layer changes nothing
 /// architecturally (it is the fidelity knob the speed benchmark ablates).
 
 namespace ahbp::rtl {
 
-/// A bundle of single-bit signals shadowing one word-level bus.
+/// A bundle of single-bit wires shadowing one word-level bus.
 class BitBus {
  public:
-  BitBus(sim::EventKernel& k, const std::string& base, unsigned width);
+  BitBus(sim::EventKernel& k, const std::string& base, unsigned width)
+      : wires_(k, base, width) {}
 
-  unsigned width() const noexcept { return width_; }
-  sim::Signal<bool>& bit(unsigned i) { return *bits_[i]; }
+  unsigned width() const noexcept { return wires_.width(); }
+  sim::BitVector& wires() noexcept { return wires_; }
 
   /// Drive all bits from a word value (each changed bit commits + wakes
   /// its subscribers independently).
-  void drive(std::uint64_t v);
+  void drive(std::uint64_t v) { wires_.write(v); }
 
-  /// Re-assemble the word from the bit signals.
-  std::uint64_t sample() const;
+  /// The committed word.
+  std::uint64_t sample() const noexcept { return wires_.read(); }
 
  private:
-  unsigned width_;
-  std::vector<std::unique_ptr<sim::Signal<bool>>> bits_;
+  sim::BitVector wires_;
 };
 
 /// Ripple-carry incrementer over a BitBus: one combinational process per
@@ -57,6 +64,7 @@ class RippleIncrementer {
   RippleIncrementer& operator=(const RippleIncrementer&) = delete;
 
   std::uint64_t sum() const { return sum_->sample(); }
+  /// Wires modelled (each pin counts one), not registry entries.
   std::size_t signal_count() const noexcept { return signal_count_; }
 
  private:
@@ -78,6 +86,7 @@ class BitLevelLayer {
   BitLevelLayer(const BitLevelLayer&) = delete;
   BitLevelLayer& operator=(const BitLevelLayer&) = delete;
 
+  /// Wires modelled (each pin counts one), not registry entries.
   std::size_t signal_count() const noexcept { return signal_count_; }
 
  private:

@@ -1,8 +1,10 @@
 #include "sim/event_kernel.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
+#include "assertions/assert.hpp"
 #include "obs/selfprof.hpp"
 
 namespace ahbp::sim {
@@ -47,6 +49,42 @@ void SignalBase::notify(bool rose, bool fell) {
       s.proc->trigger();
     }
   }
+}
+
+// --------------------------------------------------------------- BitVector
+
+BitVector::BitVector(EventKernel& kernel, std::string name, unsigned width,
+                     std::uint64_t initial)
+    : SignalBase(kernel, std::move(name)),
+      mask_(width >= 64 ? ~0ULL : (1ULL << width) - 1),
+      cur_(initial & mask_),
+      next_(cur_) {
+  AHBP_ASSERT(width >= 1 && width <= 64);
+  bit_subs_.resize(width);
+}
+
+void BitVector::subscribe_bit(unsigned i, Process& proc) {
+  AHBP_ASSERT(i < width());
+  bit_subs_[i].push_back(&proc);
+  subscribed_ |= 1ULL << i;
+}
+
+unsigned BitVector::commit() {
+  const std::uint64_t changed = cur_ ^ next_;
+  if (changed == 0) {
+    return 0;
+  }
+  const bool was_zero = cur_ == 0;
+  cur_ = next_;
+  notify(/*rose=*/was_zero, /*fell=*/!was_zero && cur_ == 0);
+  // Ascending bit order: the wake order of one-bit signals committed in
+  // bit order.
+  for (std::uint64_t m = changed & subscribed_; m != 0; m &= m - 1) {
+    for (Process* p : bit_subs_[static_cast<unsigned>(std::countr_zero(m))]) {
+      p->trigger();
+    }
+  }
+  return static_cast<unsigned>(std::popcount(changed));
 }
 
 // ------------------------------------------------------------- EventKernel
@@ -152,9 +190,7 @@ void EventKernel::run_delta_rounds() {
     commit_scratch_.swap(updates_);
     for (SignalBase* s : commit_scratch_) {
       s->update_pending_ = false;
-      if (s->commit()) {
-        ++stats_.signal_commits;
-      }
+      stats_.signal_commits += s->commit();
     }
   }
 }

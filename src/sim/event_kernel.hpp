@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "sim/inline_function.hpp"
@@ -25,9 +26,11 @@ class SelfProfiler;
 ///  2. **Update** — every signal written with a new value commits.  Each
 ///     signal whose value actually changed notifies its subscribed
 ///     processes, making them runnable in the *next delta* of the same
-///     timestep.  A write of the value a signal already holds (with no
-///     other write pending) queues no commit at all: as in an HDL
-///     simulator, it is not an event.
+///     timestep.  A packed `BitVector` commits as one entry but counts
+///     and wakes per changed bit, exactly like that many one-bit wires
+///     committed back to back.  A write of the value a signal already
+///     holds (with no other write pending) queues no commit at all: as in
+///     an HDL simulator, it is not an event.
 ///  3. Deltas repeat until no process is runnable, then simulated time
 ///     advances to the earliest pending timed event.
 ///
@@ -123,8 +126,10 @@ class SignalBase {
 
  private:
   friend class EventKernel;
-  /// Commit the pending write.  Returns true if the value changed.
-  virtual bool commit() = 0;
+  /// Commit the pending write.  Returns the number of wires whose value
+  /// changed: 0 or 1 for a Signal<T>, the changed-bit count for a
+  /// BitVector.
+  virtual unsigned commit() = 0;
 
   struct Subscription {
     Process* proc;
@@ -163,8 +168,11 @@ class Signal final : public SignalBase {
   std::string value_string() const override {
     if constexpr (std::is_same_v<T, bool>) {
       return cur_ ? "1" : "0";
-    } else if constexpr (std::is_integral_v<T> || std::is_enum_v<T>) {
-      return std::to_string(static_cast<long long>(cur_));
+    } else if constexpr (std::is_enum_v<T>) {
+      return std::to_string(
+          static_cast<std::underlying_type_t<T>>(cur_) + 0);
+    } else if constexpr (std::is_integral_v<T>) {
+      return std::to_string(cur_ + 0);  // + 0: print char types as numbers
     } else {
       return "?";
     }
@@ -195,15 +203,15 @@ class Signal final : public SignalBase {
 
  private:
   std::string name_string() const { return std::string(name()); }
-  bool commit() override {
+  unsigned commit() override {
     if (cur_ == next_) {
-      return false;
+      return 0;
     }
     const bool was_false = is_false(cur_);
     cur_ = next_;
     const bool now_true = !is_false(cur_);
     notify(/*rose=*/was_false && now_true, /*fell=*/!was_false && !now_true);
-    return true;
+    return 1;
   }
 
   static bool is_false(const T& v) {
@@ -220,11 +228,73 @@ class Signal final : public SignalBase {
   T next_;
 };
 
+/// A packed bundle of 1..64 one-bit wires (bit i is wire i) held as one
+/// registry entry.  Each bit keeps the event semantics of its own
+/// Signal<bool>: a commit counts one change per flipped bit and wakes the
+/// subscribers of each flipped bit, in ascending bit order — exactly what
+/// `width` one-bit signals written in bit order in one delta would do —
+/// while the kernel pays for one update entry and one virtual commit.
+class BitVector final : public SignalBase {
+ public:
+  /// `width` must be 1..64 (AHBP_ASSERT).
+  BitVector(EventKernel& kernel, std::string name, unsigned width,
+            std::uint64_t initial = 0);
+
+  unsigned width() const noexcept {
+    return static_cast<unsigned>(bit_subs_.size());
+  }
+
+  /// Current (committed) word; bits above width() are always 0.
+  std::uint64_t read() const noexcept { return cur_; }
+
+  /// Current (committed) value of wire `i` (i < width()).
+  bool bit(unsigned i) const noexcept { return ((cur_ >> i) & 1U) != 0; }
+
+  /// Schedule every wire from `word` (bits above width() are dropped).
+  /// Same no-op rule as Signal<T>::write.
+  void write(std::uint64_t word) { write_masked(mask_, word); }
+
+  /// Schedule only the wires selected by `mask` from `bits`; the pending
+  /// values of the other wires are kept.
+  void write_masked(std::uint64_t mask, std::uint64_t bits) {
+    const std::uint64_t next = (next_ & ~mask) | (bits & mask & mask_);
+    if (next == cur_ && !update_pending()) {
+      return;
+    }
+    next_ = next;
+    request_update();
+  }
+
+  /// Wake `proc` whenever wire `i` changes.  (SignalBase::subscribe still
+  /// subscribes to the whole word, with integer edge semantics.)
+  void subscribe_bit(unsigned i, Process& proc);
+
+  std::string value_string() const override { return std::to_string(cur_); }
+
+  std::uint64_t snapshot_value() const override { return cur_; }
+
+  void restore_value(std::uint64_t bits) override {
+    cur_ = bits & mask_;
+    next_ = cur_;  // no pending update survives a restore
+  }
+
+ private:
+  unsigned commit() override;
+
+  std::uint64_t mask_;
+  std::uint64_t cur_;
+  std::uint64_t next_;
+  std::uint64_t subscribed_ = 0;  ///< bits with at least one subscriber
+  std::vector<std::vector<Process*>> bit_subs_;  ///< per wire, in order
+};
+
 /// Activity counters exposed for the speed benchmarks and tests.
 struct KernelStats {
   std::uint64_t deltas = 0;               ///< evaluate/update rounds executed
   std::uint64_t process_activations = 0;  ///< process bodies run
-  std::uint64_t signal_commits = 0;       ///< committed signal changes
+  /// Committed changes, counted per wire: a Signal<T> that changed counts
+  /// one, a BitVector counts each bit that flipped.
+  std::uint64_t signal_commits = 0;
   std::uint64_t timed_events = 0;         ///< timed callbacks dispatched
 };
 

@@ -45,8 +45,10 @@ namespace ahbp::state {
 /// warm-up fork whose stimulus diverges from the snapshotted run is
 /// detected (ForkDivergence) instead of silently replaying inconsistent
 /// state.  v5: `farm-msg` envelope for the process sweep farm's wire
-/// protocol.  v6: `farm-msg` dropped along with the farm.
-inline constexpr std::uint32_t kFormatVersion = 6;
+/// protocol.  v6: `farm-msg` dropped along with the farm.  v7: the RTL
+/// `signals` section lists each bit-level bus as one packed entry (e.g.
+/// `pin.haddr`) instead of one entry per pin.
+inline constexpr std::uint32_t kFormatVersion = 7;
 
 /// Any save/restore failure: malformed file, version mismatch, type or
 /// section-tag mismatch, or a component-level incompatibility (e.g. a

@@ -275,16 +275,19 @@ TEST(BitLevelLayer, ShadowsSharedBusesBitTrue) {
   sh.haddr.write(0xABCD1234);
   k.settle();
   // The blasted pins re-assemble to the driven word (inspected through the
-  // kernel's signal registry by name).
-  std::uint64_t v = 0;
+  // kernel's signal registry by name: one packed entry per bus).
+  const sim::BitVector* pins = nullptr;
   for (const auto* sig : k.signals()) {
-    const std::string_view n = sig->name();
-    if (n.rfind("pin.haddr.b", 0) == 0) {
-      const unsigned bit =
-          static_cast<unsigned>(std::stoul(std::string(n.substr(11))));
-      if (sig->value_string() == "1") {
-        v |= 1ull << bit;
-      }
+    if (sig->name() == "pin.haddr") {
+      pins = dynamic_cast<const sim::BitVector*>(sig);
+    }
+  }
+  ASSERT_NE(pins, nullptr);
+  ASSERT_EQ(pins->width(), 32u);
+  std::uint64_t v = 0;
+  for (unsigned bit = 0; bit < pins->width(); ++bit) {
+    if (pins->bit(bit)) {
+      v |= 1ull << bit;
     }
   }
   EXPECT_EQ(v, 0xABCD1234u);
