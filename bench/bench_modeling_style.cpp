@@ -20,7 +20,6 @@
 #include "stats/report.hpp"
 #include "tlm/bus.hpp"
 #include "tlm/ddrc.hpp"
-#include "tlm/master.hpp"
 #include "tlm/threaded_master.hpp"
 
 namespace {
@@ -31,22 +30,30 @@ struct RunOut {
   double wall = 0.0;
 };
 
-template <typename MasterT>
-RunOut run_style(const ahbp::core::PlatformConfig& cfg) {
+/// Method-based masters: the library's own platform assembly.
+RunOut run_method(const ahbp::core::PlatformConfig& cfg) {
+  const ahbp::core::SimResult r = ahbp::core::run_tlm(cfg);
+  return {r.ran_cycles, r.completed, r.wall_seconds};
+}
+
+/// Thread-based masters.  Platform builds method-based masters only, so
+/// this row wires its own kernel, bus and masters from the same config.
+RunOut run_threaded(const ahbp::core::PlatformConfig& cfg) {
   using namespace ahbp;
   sim::CycleKernel kernel;
   ahb::QosRegisterFile qos(static_cast<unsigned>(cfg.masters.size()));
   for (unsigned m = 0; m < cfg.masters.size(); ++m) {
     qos.program(static_cast<ahb::MasterId>(m), cfg.masters[m].qos);
   }
-  tlm::TlmDdrc ddrc(cfg.timing, cfg.geom, cfg.ddr_base);
+  tlm::TlmDdrc ddrc(core::ddr_channel_configs(cfg), cfg.interleave,
+                    cfg.ddr_base);
   tlm::AhbPlusBus bus(cfg.bus, qos, ddrc,
                       static_cast<unsigned>(cfg.masters.size()), nullptr);
   kernel.add(bus);
   auto scripts = core::expand_stimulus(cfg);
-  std::vector<std::unique_ptr<MasterT>> masters;
+  std::vector<std::unique_ptr<tlm::ThreadedMaster>> masters;
   for (unsigned m = 0; m < cfg.masters.size(); ++m) {
-    masters.push_back(std::make_unique<MasterT>(
+    masters.push_back(std::make_unique<tlm::ThreadedMaster>(
         static_cast<ahb::MasterId>(m), bus, std::move(scripts[m])));
     kernel.add(*masters.back());
   }
@@ -86,8 +93,8 @@ int main(int argc, char** argv) {
   cfg.enable_checkers = false;
   cfg.max_cycles = 10'000'000;
 
-  const RunOut method = run_style<tlm::TlmMaster>(cfg);
-  const RunOut threaded = run_style<tlm::ThreadedMaster>(cfg);
+  const RunOut method = run_method(cfg);
+  const RunOut threaded = run_threaded(cfg);
 
   stats::TextTable t({"masters", "cycles", "txns", "wall s", "Kcycles/s"});
   t.add_row({"method-based (evaluate())", std::to_string(method.cycles),

@@ -46,17 +46,7 @@ ahbp::core::SimResult best_of(unsigned reps,
 ahbp::core::SimResult run_rtl_arch_only(
     const ahbp::core::PlatformConfig& cfg) {
   using namespace ahbp;
-  rtl::RtlFabricConfig fc;
-  fc.bus = cfg.bus;
-  fc.timing = cfg.timing;
-  fc.geom = cfg.geom;
-  fc.ddr_base = cfg.ddr_base;
-  fc.enable_checkers = false;
-  fc.rt_detail = false;
-  for (const auto& m : cfg.masters) {
-    fc.qos.push_back(m.qos);
-  }
-  rtl::RtlFabric fabric(fc, core::expand_stimulus(cfg));
+  rtl::RtlFabric fabric(cfg, core::expand_stimulus(cfg), /*rt_detail=*/false);
   const auto t0 = std::chrono::steady_clock::now();
   const sim::Cycle ran = fabric.run(cfg.max_cycles);
   const auto t1 = std::chrono::steady_clock::now();

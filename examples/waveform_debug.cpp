@@ -7,9 +7,9 @@
 #include <fstream>
 #include <iostream>
 
-#include "core/platform.hpp"
+#include "core/checkpoint.hpp"
 #include "core/workloads.hpp"
-#include "rtl/fabric.hpp"
+#include "sim/event_kernel.hpp"
 
 int main() {
   using namespace ahbp;
@@ -19,30 +19,21 @@ int main() {
   cfg.masters[1].traffic.kind = traffic::PatternKind::kDma;
   cfg.masters[1].traffic.dma_burst_beats = 8;
 
-  rtl::RtlFabricConfig fc;
-  fc.bus = cfg.bus;
-  fc.timing = cfg.timing;
-  fc.geom = cfg.geom;
-  fc.ddr_base = cfg.ddr_base;
-  for (const auto& m : cfg.masters) {
-    fc.qos.push_back(m.qos);
-  }
-
-  rtl::RtlFabric fabric(fc, core::expand_stimulus(cfg));
+  core::Platform p(cfg, core::ModelKind::kRtl);
 
   std::ofstream vcd("ahbp_waves.vcd");
   if (!vcd) {
     std::cerr << "cannot open ahbp_waves.vcd for writing\n";
     return 1;
   }
-  fabric.enable_vcd(vcd);
+  p.enable_vcd(vcd);
 
-  const sim::Cycle ran = fabric.run(5000);
-  std::cout << "ran " << ran << " bus cycles, completed "
-            << fabric.completed_txns() << " transactions, "
-            << fabric.violations().errors() << " protocol errors\n";
-  std::cout << "kernel activity: " << fabric.kernel().stats().deltas
-            << " delta rounds, " << fabric.kernel().stats().signal_commits
+  const sim::Cycle ran = p.run(5000);
+  const core::SimResult r = p.result();
+  std::cout << "ran " << ran << " bus cycles, completed " << r.completed
+            << " transactions, " << r.protocol_errors << " protocol errors\n";
+  std::cout << "kernel activity: " << p.rtl_kernel_stats().deltas
+            << " delta rounds, " << p.rtl_kernel_stats().signal_commits
             << " signal commits\n";
   std::cout << "\nwaveform written to ahbp_waves.vcd — open with:\n"
             << "  gtkwave ahbp_waves.vcd\n";

@@ -49,6 +49,7 @@ struct Platform::Impl {
   std::unique_ptr<tlm::AhbPlusBus> bus;
   std::vector<std::unique_ptr<tlm::TlmMaster>> masters;
   sim::Cycle last_completion = 0;
+  CompletionHook on_complete;  ///< set_on_complete (the fabric owns the RTL's)
 
   // --- signal-level assembly ---
   std::unique_ptr<rtl::RtlFabric> fabric;
@@ -113,15 +114,22 @@ struct Platform::Impl {
 Platform::Platform(const PlatformConfig& cfg, ModelKind model)
     : impl_(std::make_unique<Impl>()) {
   AHBP_ASSERT_MSG(!cfg.masters.empty(), "platform needs at least one master");
-  impl_->cfg = cfg;
-  impl_->model = model;
+  Impl& im = *impl_;
+  im.cfg = cfg;
+  im.model = model;
   // Pull trace-backed stimulus off disk exactly once, into this instance's
   // own config copy: expansion below and checkpoint embedding both read
   // the resolved text, so the platform is self-describing from here on.
-  resolve_stimulus(impl_->cfg);
+  resolve_stimulus(im.cfg);
+
+  const auto e0 = std::chrono::steady_clock::now();
+  auto scripts = expand_stimulus(im.cfg);
+  im.expand_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - e0)
+          .count());
 
   if (model == ModelKind::kTlm) {
-    Impl& im = *impl_;
     const unsigned n = static_cast<unsigned>(cfg.masters.size());
     im.qos = std::make_unique<ahb::QosRegisterFile>(n);
     for (unsigned m = 0; m < n; ++m) {
@@ -133,40 +141,20 @@ Platform::Platform(const PlatformConfig& cfg, ModelKind model)
         cfg.bus, *im.qos, *im.ddrc, n,
         cfg.enable_checkers ? &im.log : nullptr);
     im.kernel.add(*im.bus);
-
-    const auto e0 = std::chrono::steady_clock::now();
-    auto scripts = expand_stimulus(im.cfg);
-    im.expand_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - e0)
-            .count());
     for (unsigned m = 0; m < n; ++m) {
-      im.masters.push_back(std::make_unique<tlm::TlmMaster>(
-          static_cast<ahb::MasterId>(m), *im.bus, std::move(scripts[m])));
-      im.masters[m]->on_complete = [&im](const ahb::Transaction&) {
+      const auto id = static_cast<ahb::MasterId>(m);
+      im.masters.push_back(
+          std::make_unique<tlm::TlmMaster>(id, *im.bus, std::move(scripts[m])));
+      im.masters[m]->on_complete = [&im, id](const ahb::Transaction& t) {
         im.last_completion = im.kernel.now();
+        if (im.on_complete) {
+          im.on_complete(id, t);
+        }
       };
       im.kernel.add(*im.masters[m]);
     }
   } else {
-    rtl::RtlFabricConfig fc;
-    fc.bus = cfg.bus;
-    fc.timing = cfg.timing;
-    fc.geom = cfg.geom;
-    fc.interleave = cfg.interleave;
-    fc.ddr_channels = cfg.ddr_channels;
-    fc.ddr_base = cfg.ddr_base;
-    fc.enable_checkers = cfg.enable_checkers;
-    for (const MasterSpec& m : cfg.masters) {
-      fc.qos.push_back(m.qos);
-    }
-    const auto e0 = std::chrono::steady_clock::now();
-    auto scripts = expand_stimulus(impl_->cfg);
-    impl_->expand_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - e0)
-            .count());
-    impl_->fabric = std::make_unique<rtl::RtlFabric>(fc, std::move(scripts));
+    im.fabric = std::make_unique<rtl::RtlFabric>(im.cfg, std::move(scripts));
   }
 }
 
@@ -306,6 +294,14 @@ const sim::KernelStats& Platform::rtl_kernel_stats() const {
     throw std::logic_error("kernel stats need the signal-level model");
   }
   return impl_->fabric->kernel().stats();
+}
+
+void Platform::set_on_complete(CompletionHook fn) {
+  if (impl_->model == ModelKind::kTlm) {
+    impl_->on_complete = std::move(fn);
+  } else {
+    impl_->fabric->set_on_complete(std::move(fn));
+  }
 }
 
 void Platform::enable_timeline(obs::Timeline& tl) {

@@ -103,6 +103,14 @@ class Platform : public state::Snapshottable {
   /// activations, signal commits, timed events) so far.
   const sim::KernelStats& rtl_kernel_stats() const;
 
+  /// Observe every retired master transaction, in both models: `fn` gets
+  /// the master id and the finished transaction (read data filled in) at
+  /// the cycle it completes, so now() inside it is that cycle.  Call before
+  /// run(); one hook per platform (a later call replaces it, an empty
+  /// function detaches).  Observation only — results are bit-identical
+  /// with or without it.
+  void set_on_complete(CompletionHook fn);
+
   /// Attach a structured event timeline (obs/timeline.hpp): registers one
   /// timeline process for this model and wires every emission point (master
   /// ports, bus, write buffer, DDR channels/banks).  Call before run();

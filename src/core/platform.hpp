@@ -1,12 +1,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "ahb/config.hpp"
 #include "ahb/qos.hpp"
+#include "ahb/transaction.hpp"
 #include "ddr/channels.hpp"
 #include "ddr/geometry.hpp"
 #include "ddr/interleave.hpp"
@@ -106,6 +108,13 @@ struct SimResult {
   double wall_seconds = 0.0;     ///< host time spent simulating
   std::uint64_t kernel_activity = 0;  ///< evaluations (TLM) / deltas (RTL)
 };
+
+/// Per-transaction completion observer, one shape for both models
+/// (`Platform::set_on_complete`, `rtl::RtlFabric::set_on_complete`): the
+/// retiring master and its finished transaction, read data filled in.
+/// Observation only — it must not change simulated state.
+using CompletionHook =
+    std::function<void(ahb::MasterId, const ahb::Transaction&)>;
 
 /// Load every trace-backed master's trace file into its
 /// `StimulusSpec::trace_text` so the configuration is self-describing

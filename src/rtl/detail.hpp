@@ -23,8 +23,8 @@
 ///
 /// The layer is purely structural — it observes and re-derives values; the
 /// architectural behaviour is unchanged whether it is instantiated or not
-/// (RtlFabricConfig::rt_detail toggles it, which is itself an ablation the
-/// speed benchmark reports).
+/// (RtlFabric's `rt_detail` constructor argument toggles it, which is
+/// itself an ablation the speed benchmark reports).
 
 namespace ahbp::rtl {
 

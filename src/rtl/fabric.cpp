@@ -1,6 +1,7 @@
 #include "rtl/fabric.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "assertions/assert.hpp"
@@ -13,31 +14,26 @@ namespace {
 constexpr sim::Tick kClockPeriod = 2;  // one bus cycle = 2 ticks
 }
 
-RtlFabric::RtlFabric(const RtlFabricConfig& cfg,
-                     std::vector<traffic::Script> scripts)
-    : cfg_(cfg),
+RtlFabric::RtlFabric(const core::PlatformConfig& cfg,
+                     std::vector<traffic::Script> scripts, bool rt_detail)
+    : bus_(cfg.bus),
       masters_(static_cast<unsigned>(scripts.size())),
       clock_(kernel_, "hclk", kClockPeriod),
       // The cycle counter must be the first posedge subscriber: every other
       // process reads the incremented value.
       tick_(kernel_, "cycle-tick", [this] { ++cycle_; }),
       qos_(masters_),
-      ch_cfg_(ddr::resolve_channels(cfg.timing, cfg.geom, cfg.interleave,
-                                    cfg.ddr_channels)),
+      ch_cfg_(core::ddr_channel_configs(cfg)),
       sh_(kernel_, masters_, ddr::bank_bases(ch_cfg_).back()),
       master_profiles_(masters_),
-      observer_(kernel_, "observer", [this] { observe_edge(); }),
-      user_hooks_(masters_) {
+      observer_(kernel_, "observer", [this] { observe_edge(); }) {
   AHBP_ASSERT_MSG(masters_ >= 1, "at least one master required");
-  AHBP_ASSERT_MSG(ahb::valid_beat_bytes(cfg_.bus.data_width_bytes),
+  AHBP_ASSERT_MSG(ahb::valid_beat_bytes(bus_.data_width_bytes),
                   "bus.data_width_bytes must be 1, 2, 4 or 8");
-  AHBP_ASSERT_MSG(cfg_.interleave.valid(),
-                  "ddr.channels must be 1/2/4/8 with a power-of-two"
-                  " interleave stripe >= 8 bytes");
-  AHBP_ASSERT_MSG(cfg_.qos.size() == masters_,
-                  "one QosConfig per master required");
+  AHBP_ASSERT_MSG(cfg.masters.size() == masters_,
+                  "one script per configured master required");
   for (unsigned m = 0; m < masters_; ++m) {
-    qos_.program(static_cast<ahb::MasterId>(m), cfg_.qos[m]);
+    qos_.program(static_cast<ahb::MasterId>(m), cfg.masters[m].qos);
   }
 
   clock_.signal().subscribe(tick_, sim::Edge::kPos);
@@ -60,8 +56,8 @@ RtlFabric::RtlFabric(const RtlFabricConfig& cfg,
     master->on_complete = [this, m](const ahb::Transaction& t) {
       last_completion_ = cycle_;
       ++completed_;
-      if (user_hooks_[m]) {
-        user_hooks_[m](t);
+      if (on_complete_) {
+        on_complete_(static_cast<ahb::MasterId>(m), t);
       }
     };
     master->bind_clock(clock_.signal());
@@ -71,21 +67,21 @@ RtlFabric::RtlFabric(const RtlFabricConfig& cfg,
     master_profiles_[m].name = std::string("M").append(std::to_string(m));
   }
 
-  wbuf_ = std::make_unique<RtlWriteBuffer>(kernel_, cfg_.bus, masters_, sh_,
+  wbuf_ = std::make_unique<RtlWriteBuffer>(kernel_, bus_, masters_, sh_,
                                            *columns_[masters_], mw, &cycle_);
   arbiter_ = std::make_unique<RtlArbiter>(
-      kernel_, cfg_.bus, qos_, sh_, mw, *wbuf_, ch_cfg_, cfg_.interleave,
-      cfg_.ddr_base, &cycle_, cfg_.enable_checkers ? &log_ : nullptr);
+      kernel_, bus_, qos_, sh_, mw, *wbuf_, ch_cfg_, cfg.interleave,
+      cfg.ddr_base, &cycle_, cfg.enable_checkers ? &log_ : nullptr);
   // Subscription order: arbiter before write buffer (reservation happens
   // before the buffer's capture/drain pass, as in the TLM).
   arbiter_->bind_clock(clock_.signal());
   wbuf_->bind_clock(clock_.signal());
 
-  ddrc_ = std::make_unique<RtlDdrc>(kernel_, ch_cfg_, cfg_.interleave,
-                                    cfg_.ddr_base, cfg_.bus, sh_, &cycle_);
+  ddrc_ = std::make_unique<RtlDdrc>(kernel_, ch_cfg_, cfg.interleave,
+                                    cfg.ddr_base, bus_, sh_, &cycle_);
   ddrc_->bind_clock(clock_.signal());
 
-  if (cfg_.rt_detail) {
+  if (rt_detail) {
     std::vector<MasterWires*> all_cols;
     for (auto& c : columns_) {
       all_cols.push_back(c.get());
@@ -98,11 +94,11 @@ RtlFabric::RtlFabric(const RtlFabricConfig& cfg,
 
   make_muxes();
 
-  if (cfg_.enable_checkers) {
+  if (cfg.enable_checkers) {
     checker_ = std::make_unique<chk::BusChecker>(
-        chk::CheckerConfig{masters_, cfg_.bus.write_buffer_depth,
-                           cfg_.bus.write_buffer_enabled,
-                           cfg_.bus.data_width_bytes},
+        chk::CheckerConfig{masters_, bus_.write_buffer_depth,
+                           bus_.write_buffer_enabled,
+                           bus_.data_width_bytes},
         log_);
   }
   clock_.signal().subscribe(observer_, sim::Edge::kPos);
@@ -217,7 +213,7 @@ void RtlFabric::observe_edge() {
         c = obs::StallClass::kRunning;
         break;
       case RtlMaster::State::kRequest:
-        if (cfg_.bus.write_buffer_enabled &&
+        if (bus_.write_buffer_enabled &&
             rtl_masters_[m]->pending_txn().dir == ahb::Dir::kWrite &&
             !wbuf_->can_reserve()) {
           c = obs::StallClass::kWbufFull;
@@ -251,7 +247,7 @@ void RtlFabric::observe_edge() {
       tl_->end(tl_bus_track_, cycle_);
     }
     const unsigned occ = sh_.wbuf_occupancy.read();
-    if (cfg_.bus.write_buffer_enabled && occ != tl_last_occ_) {
+    if (bus_.write_buffer_enabled && occ != tl_last_occ_) {
       tl_last_occ_ = occ;
       tl_->counter(tl_wbuf_track_, cycle_, "occupancy", occ);
     }
@@ -300,10 +296,8 @@ stats::RunProfile RtlFabric::profile() const {
   return p;
 }
 
-void RtlFabric::set_on_complete(
-    unsigned m, std::function<void(const ahb::Transaction&)> fn) {
-  AHBP_ASSERT(m < masters_);
-  user_hooks_[m] = std::move(fn);
+void RtlFabric::set_on_complete(core::CompletionHook fn) {
+  on_complete_ = std::move(fn);
 }
 
 void RtlFabric::set_trace_recorder(unsigned m, traffic::TraceRecorder* rec) {
@@ -318,7 +312,7 @@ void RtlFabric::enable_vcd(std::ostream& os) {
   vcd_->add_signal(sh_.htrans, 2);
   // Data buses are as wide as the configured datapath (HSIZE semantics:
   // a beat occupies the low size_bytes lanes of this width).
-  const unsigned data_bits = cfg_.bus.data_width_bytes * 8;
+  const unsigned data_bits = bus_.data_width_bytes * 8;
   vcd_->add_signal(sh_.haddr, 32);
   vcd_->add_signal(sh_.hwdata, data_bits);
   vcd_->add_signal(sh_.hrdata, data_bits);
@@ -328,7 +322,11 @@ void RtlFabric::enable_vcd(std::ostream& os) {
     vcd_->add_signal(*sh_.hgrant[m], 1);
   }
   vcd_->add_signal(sh_.wbuf_req, 1);
-  vcd_->add_signal(sh_.wbuf_occupancy, 4);
+  // At least 4 bits keeps shallow-buffer waveforms unchanged; deeper
+  // buffers widen the wire so a full buffer never wraps to zero.
+  vcd_->add_signal(sh_.wbuf_occupancy,
+                   std::max(4U, static_cast<unsigned>(std::bit_width(
+                                    bus_.write_buffer_depth))));
   vcd_->add_signal(sh_.bi_permit, 1);
   vcd_->write_header();
 }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -8,10 +7,8 @@
 #include "ahb/qos.hpp"
 #include "assertions/bus_checker.hpp"
 #include "assertions/violation.hpp"
+#include "core/platform.hpp"
 #include "ddr/channels.hpp"
-#include "ddr/geometry.hpp"
-#include "ddr/interleave.hpp"
-#include "ddr/timing.hpp"
 #include "rtl/arbiter.hpp"
 #include "rtl/bitlevel.hpp"
 #include "rtl/ddrc.hpp"
@@ -44,27 +41,18 @@ class Timeline;
 
 namespace ahbp::rtl {
 
-struct RtlFabricConfig {
-  ahb::BusConfig bus;
-  ddr::DdrTiming timing = ddr::ddr266();
-  ddr::Geometry geom;
-  /// Memory-side sharding (default: one channel, the classic platform).
-  /// Each channel starts from timing/geom; `ddr_channels[k]` layers the
-  /// per-channel overrides.
-  ddr::Interleave interleave;
-  std::vector<ddr::ChannelOverride> ddr_channels;
-  ahb::Addr ddr_base = 0;
-  std::vector<ahb::QosConfig> qos;  ///< one per master
-  bool enable_checkers = true;
-  /// Instantiate the full register-transfer detail layer (detail.hpp).
-  /// On by default: the reference model is meant to pay RTL cost.
-  bool rt_detail = true;
-};
-
 class RtlFabric : public state::Snapshottable {
  public:
-  RtlFabric(const RtlFabricConfig& cfg,
-            std::vector<traffic::Script> scripts);
+  /// Assemble the platform `cfg` describes — bus, DDR part, interleave and
+  /// per-channel overrides, DDR base, checkers and each master's QoS
+  /// registers — driven by one script per master (`core::expand_stimulus`).
+  /// `rt_detail` instantiates the register-transfer detail and bit-level
+  /// layers (detail.hpp, bitlevel.hpp); it is on by default because the
+  /// reference model is meant to pay RTL cost, and it is a constructor
+  /// argument rather than a config field because it changes the snapshot
+  /// topology.
+  RtlFabric(const core::PlatformConfig& cfg,
+            std::vector<traffic::Script> scripts, bool rt_detail = true);
 
   RtlFabric(const RtlFabric&) = delete;
   RtlFabric& operator=(const RtlFabric&) = delete;
@@ -91,9 +79,8 @@ class RtlFabric : public state::Snapshottable {
   RtlDdrc& ddrc() noexcept { return *ddrc_; }
   const ahb::QosRegisterFile& qos() const noexcept { return qos_; }
 
-  /// Per-transaction observer (set before run()).
-  void set_on_complete(unsigned m,
-                       std::function<void(const ahb::Transaction&)> fn);
+  /// Per-transaction observer for every master (set before run()).
+  void set_on_complete(core::CompletionHook fn);
 
   /// Attach a capture tap to master `m`'s port (set before run()).
   void set_trace_recorder(unsigned m, traffic::TraceRecorder* rec);
@@ -128,7 +115,8 @@ class RtlFabric : public state::Snapshottable {
   void make_muxes();
   void observe_edge();
 
-  RtlFabricConfig cfg_;
+  /// Owned copy: the write buffer, arbiter and DDRC keep references.
+  ahb::BusConfig bus_;
   unsigned masters_;
   sim::EventKernel kernel_;
   sim::Clock clock_;
@@ -136,7 +124,7 @@ class RtlFabric : public state::Snapshottable {
   sim::Process tick_;
 
   ahb::QosRegisterFile qos_;
-  /// Resolved per-channel DDR configs (sized by cfg_.interleave.channels);
+  /// Resolved per-channel DDR configs (one per interleaved channel);
   /// declared before sh_ so the BI bank wires can be sized from it.
   std::vector<ddr::ChannelConfig> ch_cfg_;
   std::vector<std::unique_ptr<MasterWires>> columns_;  ///< masters + wbuf
@@ -173,7 +161,7 @@ class RtlFabric : public state::Snapshottable {
 
   sim::Cycle last_completion_ = 0;
   std::uint64_t completed_ = 0;
-  std::vector<std::function<void(const ahb::Transaction&)>> user_hooks_;
+  core::CompletionHook on_complete_;
 };
 
 }  // namespace ahbp::rtl

@@ -2,21 +2,19 @@
 // for identical stimulus the two models must retire the same transactions
 // with identical read data, keep every protocol checker silent, and stay
 // within a bounded cycle divergence.  Parameterized across traffic
-// patterns and seeds.
+// patterns, seeds and DDR channel counts.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
+#include <string>
 #include <tuple>
 
-#include "core/compare.hpp"
+#include "core/checkpoint.hpp"
 #include "core/platform.hpp"
 #include "core/workloads.hpp"
-#include "rtl/fabric.hpp"
-#include "sim/cycle_kernel.hpp"
-#include "tlm/bus.hpp"
-#include "tlm/ddrc.hpp"
-#include "tlm/master.hpp"
+#include "scenario/scenario.hpp"
 
 namespace {
 
@@ -26,111 +24,72 @@ using namespace ahbp::core;
 using Key = std::pair<unsigned, ahb::TxnId>;
 using DataMap = std::map<Key, std::vector<ahb::Word>>;
 
-/// Collect per-transaction read data from a TLM run.
-DataMap run_tlm_collect(const PlatformConfig& cfg) {
-  DataMap out;
-  sim::CycleKernel kernel;
-  ahb::QosRegisterFile qos(static_cast<unsigned>(cfg.masters.size()));
-  for (unsigned m = 0; m < cfg.masters.size(); ++m) {
-    qos.program(static_cast<ahb::MasterId>(m), cfg.masters[m].qos);
-  }
-  tlm::TlmDdrc ddrc(cfg.timing, cfg.geom, cfg.ddr_base);
-  chk::ViolationLog log;
-  tlm::AhbPlusBus bus(cfg.bus, qos, ddrc,
-                      static_cast<unsigned>(cfg.masters.size()), &log);
-  kernel.add(bus);
-  auto scripts = expand_stimulus(cfg);
-  std::vector<std::unique_ptr<tlm::TlmMaster>> masters;
-  for (unsigned m = 0; m < cfg.masters.size(); ++m) {
-    masters.push_back(std::make_unique<tlm::TlmMaster>(
-        static_cast<ahb::MasterId>(m), bus, std::move(scripts[m])));
-    masters[m]->on_complete = [&out, m](const ahb::Transaction& t) {
-      if (t.dir == ahb::Dir::kRead) {
-        out[{m, t.id}] = t.data;
-      }
-    };
-    kernel.add(*masters[m]);
-  }
-  kernel.run_until(
-      [&] {
-        for (const auto& m : masters) {
-          if (!m->finished()) {
-            return false;
-          }
-        }
-        return bus.quiescent();
-      },
-      cfg.max_cycles);
-  EXPECT_EQ(log.errors(), 0u) << log.to_string();
-  return out;
-}
+struct Collected {
+  DataMap reads;  ///< read data per (master, txn id)
+  SimResult result;
+};
 
-/// Collect per-transaction read data from an RTL run.
-DataMap run_rtl_collect(const PlatformConfig& cfg) {
-  DataMap out;
-  rtl::RtlFabricConfig fc;
-  fc.bus = cfg.bus;
-  fc.timing = cfg.timing;
-  fc.geom = cfg.geom;
-  fc.ddr_base = cfg.ddr_base;
-  for (const auto& m : cfg.masters) {
-    fc.qos.push_back(m.qos);
-  }
-  rtl::RtlFabric fabric(fc, expand_stimulus(cfg));
-  for (unsigned m = 0; m < cfg.masters.size(); ++m) {
-    fabric.set_on_complete(m, [&out, m](const ahb::Transaction& t) {
-      if (t.dir == ahb::Dir::kRead) {
-        out[{m, t.id}] = t.data;
-      }
-    });
-  }
-  fabric.run(cfg.max_cycles);
-  EXPECT_TRUE(fabric.finished()) << fabric.dump_state();
-  EXPECT_EQ(fabric.violations().errors(), 0u)
-      << fabric.violations().to_string();
+/// Run `cfg` on one model, collecting per-transaction read data through
+/// the platform's completion hook alongside the run's own result.
+Collected collect(const PlatformConfig& cfg, ModelKind model) {
+  Collected out;
+  Platform p(cfg, model);
+  p.set_on_complete([&out](ahb::MasterId m, const ahb::Transaction& t) {
+    if (t.dir == ahb::Dir::kRead) {
+      out.reads[{m, t.id}] = t.data;
+    }
+  });
+  p.run_to_completion();
+  out.result = p.result();
   return out;
 }
 
 class EquivalenceSweep
     : public ::testing::TestWithParam<
-          std::tuple<traffic::PatternKind, std::uint64_t>> {};
+          std::tuple<traffic::PatternKind, std::uint64_t, unsigned>> {};
 
 TEST_P(EquivalenceSweep, IdenticalReadDataAndBoundedCycleGap) {
-  const auto [kind, seed] = GetParam();
+  const auto [kind, seed, channels] = GetParam();
   PlatformConfig cfg = default_platform(3, seed, 40);
   for (auto& m : cfg.masters) {
     m.traffic.kind = kind;
   }
+  scenario::apply_key(cfg, "ddr.channels", std::to_string(channels));
   cfg.max_cycles = 400000;
 
-  const DataMap tlm_data = run_tlm_collect(cfg);
-  const DataMap rtl_data = run_rtl_collect(cfg);
+  const Collected tlm = collect(cfg, ModelKind::kTlm);
+  const Collected rtl = collect(cfg, ModelKind::kRtl);
+  for (const SimResult* r : {&tlm.result, &rtl.result}) {
+    ASSERT_TRUE(r->finished) << r->model;
+    EXPECT_EQ(r->protocol_errors, 0u) << r->model << "\n"
+                                      << r->first_violations;
+  }
 
-  ASSERT_EQ(tlm_data.size(), rtl_data.size());
-  for (const auto& [key, data] : tlm_data) {
-    const auto it = rtl_data.find(key);
-    ASSERT_NE(it, rtl_data.end())
+  ASSERT_EQ(tlm.reads.size(), rtl.reads.size());
+  for (const auto& [key, data] : tlm.reads) {
+    const auto it = rtl.reads.find(key);
+    ASSERT_NE(it, rtl.reads.end())
         << "master " << key.first << " txn " << key.second;
     EXPECT_EQ(it->second, data)
         << "read data differs: master " << key.first << " txn " << key.second;
   }
 
   // Cycle divergence bound (loose; the bench reports exact percentages).
-  const SimResult t = run_tlm(cfg);
-  const SimResult r = run_rtl(cfg);
-  ASSERT_TRUE(t.finished && r.finished);
+  const sim::Cycle t = tlm.result.cycles;
+  const sim::Cycle r = rtl.result.cycles;
   const double err =
-      std::abs(static_cast<double>(t.cycles) - static_cast<double>(r.cycles)) /
-      static_cast<double>(r.cycles);
-  EXPECT_LT(err, 0.15) << "tlm=" << t.cycles << " rtl=" << r.cycles;
+      std::abs(static_cast<double>(t) - static_cast<double>(r)) /
+      static_cast<double>(r);
+  EXPECT_LT(err, 0.15) << "tlm=" << t << " rtl=" << r;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PatternsAndSeeds, EquivalenceSweep,
+    PatternsSeedsAndChannels, EquivalenceSweep,
     ::testing::Combine(::testing::Values(traffic::PatternKind::kCpu,
                                          traffic::PatternKind::kDma,
                                          traffic::PatternKind::kRandom),
-                       ::testing::Values(1ull, 17ull, 99ull)));
+                       ::testing::Values(1ull, 17ull, 99ull),
+                       ::testing::Values(1u, 2u, 4u)));
 
 TEST(Equivalence, CompletedCountsMatchOnTable1Rows) {
   // Cheap subset of Table 1 (first row of each group) at low item count.

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -253,6 +254,38 @@ TEST(Observability, ProgressChunkingKeepsResultsBitIdentical) {
     EXPECT_EQ(base.ran_cycles, r.ran_cycles) << core::to_string(kind);
     EXPECT_EQ(base.completed, r.completed) << core::to_string(kind);
     EXPECT_EQ(base.kernel_activity, r.kernel_activity)
+        << core::to_string(kind);
+  }
+}
+
+TEST(Observability, CompletionHookSeesEveryRetirementWithoutPerturbing) {
+  auto cfg = core::table1_workloads(12, 3)[0].config;
+  // Host time is the only thing two runs of one config may disagree on.
+  const auto stats_json = [](core::SimResult r) {
+    r.wall_seconds = 0.0;
+    std::ostringstream os;
+    core::write_stats_json(os, r);
+    return os.str();
+  };
+  for (const auto kind : {core::ModelKind::kTlm, core::ModelKind::kRtl}) {
+    core::Platform plain(cfg, kind);
+    plain.run_to_completion();
+
+    core::Platform hooked(cfg, kind);
+    std::uint64_t calls = 0;
+    sim::Cycle latest = 0;
+    hooked.set_on_complete([&](ahb::MasterId m, const ahb::Transaction& t) {
+      ++calls;
+      latest = std::max(latest, hooked.now());
+      EXPECT_EQ(t.master, m) << core::to_string(kind);
+    });
+    hooked.run_to_completion();
+    const core::SimResult r = hooked.result();
+
+    ASSERT_TRUE(r.finished) << core::to_string(kind);
+    EXPECT_EQ(calls, r.completed) << core::to_string(kind);
+    EXPECT_EQ(latest, r.cycles) << core::to_string(kind);
+    EXPECT_EQ(stats_json(plain.result()), stats_json(r))
         << core::to_string(kind);
   }
 }

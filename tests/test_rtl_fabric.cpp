@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
+
+#include "core/platform.hpp"
 #include "rtl/bitlevel.hpp"
 #include "rtl/fabric.hpp"
+#include "scenario/registry.hpp"
 
 namespace {
 
@@ -22,11 +28,13 @@ ddr::Geometry geom4() {
   return g;
 }
 
-RtlFabricConfig base_cfg(unsigned masters) {
-  RtlFabricConfig fc;
+/// The fabric reads only the platform-level fields and each master's QoS
+/// registers; the tests below hand it explicit scripts.
+core::PlatformConfig base_cfg(unsigned masters) {
+  core::PlatformConfig fc;
   fc.geom = geom4();
   fc.timing = ddr::toy_timing();
-  fc.qos.assign(masters, ahb::QosConfig{});
+  fc.masters.resize(masters);
   return fc;
 }
 
@@ -99,7 +107,7 @@ TEST(RtlFabric, ReadDataMatchesWrites) {
   scripts.push_back(std::move(s));
   RtlFabric fabric(fc, std::move(scripts));
   std::vector<ahb::Transaction> reads;
-  fabric.set_on_complete(0, [&](const ahb::Transaction& t) {
+  fabric.set_on_complete([&](ahb::MasterId, const ahb::Transaction& t) {
     if (t.dir == ahb::Dir::kRead) {
       reads.push_back(t);
     }
@@ -145,11 +153,10 @@ TEST(RtlFabric, DetailLayersDoNotChangeArchitecture) {
   // layers the cycle-by-cycle behaviour must be identical.
   auto make = [&](bool detail) {
     auto fc = base_cfg(2);
-    fc.rt_detail = detail;
     std::vector<traffic::Script> scripts;
     scripts.push_back(script_for(traffic::PatternKind::kCpu, 20, 0, 13, 0));
     scripts.push_back(script_for(traffic::PatternKind::kDma, 20, 8192, 13, 1));
-    auto fabric = std::make_unique<RtlFabric>(fc, std::move(scripts));
+    auto fabric = std::make_unique<RtlFabric>(fc, std::move(scripts), detail);
     fabric->run(100000);
     return fabric;
   };
@@ -166,7 +173,8 @@ TEST(RtlFabric, DetailLayersDoNotChangeArchitecture) {
 
 TEST(RtlFabric, QosStateVisibleInProfile) {
   auto fc = base_cfg(2);
-  fc.qos[0] = ahb::QosConfig{ahb::MasterClass::kRealTime, 2};  // tiny budget
+  // Tiny budget.
+  fc.masters[0].qos = ahb::QosConfig{ahb::MasterClass::kRealTime, 2};
   std::vector<traffic::Script> scripts;
   scripts.push_back(script_for(traffic::PatternKind::kRtStream, 10, 0, 5, 0));
   scripts.push_back(script_for(traffic::PatternKind::kDma, 40, 8192, 5, 1));
@@ -248,6 +256,48 @@ TEST(RtlFabric, VcdDumpProducesValidWaveform) {
   EXPECT_GT(text.size(), 1000u);
 }
 
+TEST(RtlFabric, VcdOccupancyWireFitsDeepWriteBuffer) {
+  // A full 16-entry write buffer needs a 5-bit occupancy wire; a 4-bit one
+  // dumps 16 as 0000.
+  core::PlatformConfig cfg = scenario::load_scenario("wbuf-stress", 200);
+  cfg.bus.write_buffer_depth = 16;
+  RtlFabric fabric(cfg, core::expand_stimulus(cfg));
+  std::ostringstream vcd;
+  fabric.enable_vcd(vcd);
+  fabric.run(cfg.max_cycles);
+  ASSERT_TRUE(fabric.finished()) << fabric.dump_state();
+
+  // "$var wire <width> <id> <name> $end", then "b<bits> <id>" changes.
+  std::istringstream in(vcd.str());
+  std::string line;
+  std::string id;
+  unsigned width = 0;
+  std::uint64_t max_dumped = 0;
+  while (std::getline(in, line)) {
+    std::istringstream ls(line);
+    std::string head;
+    std::string ref;
+    ls >> head;
+    if (head == "$var") {
+      std::string kind;
+      std::string name;
+      unsigned w = 0;
+      ls >> kind >> w >> ref >> name;
+      if (name == "wbuf_occupancy") {
+        width = w;
+        id = ref;
+      }
+    } else if (!id.empty() && head.size() > 1 && head[0] == 'b' &&
+               (ls >> ref) && ref == id) {
+      max_dumped = std::max<std::uint64_t>(
+          max_dumped, std::stoull(head.substr(1), nullptr, 2));
+    }
+  }
+  EXPECT_EQ(width, 5u);
+  EXPECT_EQ(max_dumped, 16u);
+  EXPECT_EQ(max_dumped, fabric.profile().write_buffer.occupancy.max());
+}
+
 TEST(RtlFabric, DetailLayerInstantiatesFullRegisterPopulation) {
   auto fc = base_cfg(2);
   std::vector<traffic::Script> scripts;
@@ -259,9 +309,7 @@ TEST(RtlFabric, DetailLayerInstantiatesFullRegisterPopulation) {
   std::vector<traffic::Script> scripts2;
   scripts2.push_back(script_for(traffic::PatternKind::kCpu, 3, 0, 3, 0));
   scripts2.push_back(script_for(traffic::PatternKind::kCpu, 3, 8192, 3, 1));
-  auto fc2 = base_cfg(2);
-  fc2.rt_detail = false;
-  RtlFabric without(fc2, std::move(scripts2));
+  RtlFabric without(fc, std::move(scripts2), /*rt_detail=*/false);
   EXPECT_GT(with.kernel().signals().size(),
             3 * without.kernel().signals().size());
 }
