@@ -71,17 +71,14 @@ struct Platform::Impl {
     return bus->quiescent();
   }
 
-  /// TLM execution with temporal decoupling.  quantum <= 1 is the literal
-  /// cycle-by-cycle path (bit-exact legacy behaviour); quantum > 1 leaps
-  /// provably idle stretches — up to a quantum at a time — after the bus
-  /// and every master publish a conservative next-interesting-cycle bound,
-  /// bulk-replaying the per-cycle bookkeeping the gap owes.  Identical
-  /// simulated state either way; only wall-clock differs.
+  /// TLM execution: step busy cycles, leap provably idle stretches.  Once
+  /// the bus and every master publish a next-interesting-cycle bound in the
+  /// future, every cycle up to it is a proven no-op, so the clock jumps
+  /// there and the bus bulk-replays the per-cycle bookkeeping the gap owes
+  /// (stats, checker views, QoS epochs).  The simulated state is exactly
+  /// what cycle-by-cycle stepping would produce; the quota bounds each
+  /// leap, so callers still stop on exact cycles.
   sim::Cycle run_tlm(sim::Cycle quota) {
-    const sim::Cycle quantum = cfg.sim.quantum;
-    if (quantum <= 1) {
-      return kernel.run_until([this] { return tlm_done(); }, quota);
-    }
     sim::Cycle ran = 0;
     while (ran < quota && !tlm_done()) {
       const sim::Cycle now = kernel.now();
@@ -94,9 +91,8 @@ struct Platform::Impl {
       }
       if (bound > now) {
         // Every component is a proven no-op over [now, bound): leap, but
-        // never past the quantum (sync boundary) or the caller's quota.
-        const sim::Cycle cap = std::min<sim::Cycle>(quantum, quota - ran);
-        const sim::Cycle skip = std::min<sim::Cycle>(bound - now, cap);
+        // never past the caller's quota.
+        const sim::Cycle skip = std::min<sim::Cycle>(bound - now, quota - ran);
         bus->skip_idle(now, now + skip);
         kernel.skip_to(now + skip);
         ran += skip;
@@ -184,48 +180,42 @@ sim::Cycle Platform::run(sim::Cycle n) {
     return 0;
   }
   const auto t0 = std::chrono::steady_clock::now();
+  // Execute in chunks so a progress heartbeat can sample wall clock
+  // between them.  Chunks end on absolute multiples of kChunk, itself a
+  // multiple of 256: RtlFabric::run samples finished() at absolute
+  // 256-cycle boundaries, so chunked execution stops at exactly the cycles
+  // an uninterrupted run would, even when resumed mid-interval (the TLM
+  // loop checks its predicate every cycle and bounds each leap by the
+  // quota, so any chunk size is exact there).
+  constexpr sim::Cycle kChunk = 25'600;
   sim::Cycle ran = 0;
-  if (im.progress == nullptr) {
-    if (im.model == ModelKind::kTlm) {
-      ran = im.run_tlm(quota);
-    } else {
-      ran = im.fabric->run(quota);
+  auto last_beat = t0;
+  while (ran < quota) {
+    const sim::Cycle want = std::min<sim::Cycle>(
+        kChunk - (done + ran) % kChunk, quota - ran);
+    const sim::Cycle got = im.model == ModelKind::kTlm
+                               ? im.run_tlm(want)
+                               : im.fabric->run(want);
+    ran += got;
+    if (got < want) {
+      break;  // finished before the chunk ran out
     }
-  } else {
-    // Heartbeat path: execute in chunks so wall clock can be sampled
-    // between them.  The chunk is a multiple of 256 — RtlFabric::run
-    // samples finished() at absolute 256-cycle boundaries, so chunked
-    // execution stops at exactly the cycles an uninterrupted run would
-    // (the TLM kernel checks its predicate every cycle, so any chunk
-    // size is safe there).
-    constexpr sim::Cycle kChunk = 25'600;
-    auto last_beat = t0;
-    while (ran < quota) {
-      const sim::Cycle want = std::min<sim::Cycle>(kChunk, quota - ran);
-      sim::Cycle got = 0;
-      if (im.model == ModelKind::kTlm) {
-        got = im.run_tlm(want);
-      } else {
-        got = im.fabric->run(want);
-      }
-      ran += got;
-      if (got < want) {
-        break;  // finished (or hit an internal stop) before the chunk ran out
-      }
-      const auto tn = std::chrono::steady_clock::now();
-      if (std::chrono::duration<double>(tn - last_beat).count() >=
-          im.progress_interval) {
-        const double secs = std::chrono::duration<double>(tn - t0).count();
-        char line[160];
-        std::snprintf(line, sizeof line,
-                      "# %s: cycle %llu | %.1fs | %.0f kcycles/s\n",
-                      std::string(to_string(im.model)).c_str(),
-                      static_cast<unsigned long long>(done + ran), secs,
-                      secs > 0.0 ? static_cast<double>(ran) / secs / 1000.0
-                                 : 0.0);
-        (*im.progress) << line << std::flush;
-        last_beat = tn;
-      }
+    if (im.progress == nullptr) {
+      continue;
+    }
+    const auto tn = std::chrono::steady_clock::now();
+    if (std::chrono::duration<double>(tn - last_beat).count() >=
+        im.progress_interval) {
+      const double secs = std::chrono::duration<double>(tn - t0).count();
+      char line[160];
+      std::snprintf(line, sizeof line,
+                    "# %s: cycle %llu | %.1fs | %.0f kcycles/s\n",
+                    std::string(to_string(im.model)).c_str(),
+                    static_cast<unsigned long long>(done + ran), secs,
+                    secs > 0.0 ? static_cast<double>(ran) / secs / 1000.0
+                               : 0.0);
+      (*im.progress) << line << std::flush;
+      last_beat = tn;
     }
   }
   const auto t1 = std::chrono::steady_clock::now();

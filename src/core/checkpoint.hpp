@@ -125,9 +125,9 @@ class Platform : public state::Snapshottable {
   void enable_self_profile(obs::SelfProfiler& sp);
 
   /// Emit a progress heartbeat to `os` roughly every `interval_sec` of
-  /// wall clock while run() executes (cycles, wall time, kcycles/s).  The
-  /// chunked execution it implies is alignment-preserving in both models,
-  /// so results are bit-identical with progress on or off.  Null disables.
+  /// wall clock while run() executes (cycles, wall time, kcycles/s),
+  /// sampled between run()'s execution chunks.  Observation only: results
+  /// are bit-identical with progress on or off.  Null disables.
   void set_progress(std::ostream* os, double interval_sec = 1.0);
 
   /// Attach a traffic::TraceRecorder capture tap to every master port

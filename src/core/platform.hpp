@@ -46,20 +46,6 @@ struct CheckpointSpec {
   bool operator==(const CheckpointSpec&) const = default;
 };
 
-/// Simulator tuning (the scenario `[sim]` section).  These knobs change how
-/// fast the simulator runs, never what it computes: every setting is
-/// required to produce bit-identical results to the defaults.
-struct SimTuning {
-  /// Temporal-decoupling quantum for the TLM model.  1 (default) = classic
-  /// cycle-by-cycle stepping, bit-exact to the pre-quantum code path by
-  /// construction.  >1 lets the platform leap provably-idle stretches of up
-  /// to `quantum` cycles at a time, bulk-replaying the per-cycle
-  /// bookkeeping (stats, checker views, QoS epochs) for the gap.
-  sim::Cycle quantum = 1;
-
-  bool operator==(const SimTuning&) const = default;
-};
-
 struct PlatformConfig {
   ahb::BusConfig bus;
   /// Shared DDR part description; with `interleave.channels > 1` every
@@ -79,9 +65,6 @@ struct PlatformConfig {
   sim::Cycle max_cycles = 4'000'000;
   /// Optional mid-run snapshot (scenario `[checkpoint]` section).
   CheckpointSpec checkpoint;
-  /// Simulator speed knobs (scenario `[sim]` section); results are
-  /// independent of these by contract.
-  SimTuning sim;
 };
 
 /// Resolved per-channel DDR configuration (shared base + overrides).

@@ -332,19 +332,6 @@ void apply_checkpoint(core::PlatformConfig& cfg, std::string_view key,
   }
 }
 
-void apply_sim(core::PlatformConfig& cfg, std::string_view key,
-               std::string_view value, std::size_t line) {
-  if (key == "quantum") {
-    const std::uint64_t q = parse_u64(value, line);
-    if (q < 1) {
-      throw ScenarioError("sim.quantum must be >= 1", line);
-    }
-    cfg.sim.quantum = q;
-  } else {
-    throw ScenarioError("unknown [sim] key '" + std::string(key) + "'", line);
-  }
-}
-
 /// Hard ceiling on `[channel K]` indices (the widest interleave).
 constexpr std::size_t kMaxChannels = 8;
 
@@ -362,8 +349,6 @@ void apply_in_section(core::PlatformConfig& cfg, std::string_view section,
     apply_ddr(cfg, key, value, line);
   } else if (section == "checkpoint") {
     apply_checkpoint(cfg, key, value, line);
-  } else if (section == "sim") {
-    apply_sim(cfg, key, value, line);
   } else if (section == "channel") {
     if (master_idx >= kMaxChannels) {
       throw ScenarioError("channel index " + std::to_string(master_idx) +
@@ -494,8 +479,7 @@ core::PlatformConfig parse(std::string_view text) {
     if (l.kind == lex::Line::Kind::kSection) {
       std::string_view idx;
       if (l.section == "platform" || l.section == "bus" ||
-          l.section == "ddr" || l.section == "checkpoint" ||
-          l.section == "sim") {
+          l.section == "ddr" || l.section == "checkpoint") {
         section = l.section;
       } else if (lex::channel_section(l.section, idx)) {
         if (idx.empty()) {
@@ -582,15 +566,6 @@ std::string serialize(const core::PlatformConfig& cfg) {
     os << "at_cycle = " << cfg.checkpoint.at_cycle << "\n";
     if (!cfg.checkpoint.path.empty()) {
       os << "path = " << cfg.checkpoint.path << "\n";
-    }
-  }
-
-  // Simulator tuning: only when it deviates from the defaults — the knobs
-  // never change results, so the canonical form is the minimal delta.
-  if (cfg.sim != core::SimTuning{}) {
-    os << "\n[sim]\n";
-    if (cfg.sim.quantum != 1) {
-      os << "quantum = " << cfg.sim.quantum << "\n";
     }
   }
 
@@ -686,7 +661,7 @@ void apply_key(core::PlatformConfig& cfg, std::string_view dotted_key,
   const std::string_view key = trim(dotted_key.substr(dot + 1));
 
   if (section == "platform" || section == "bus" || section == "ddr" ||
-      section == "checkpoint" || section == "sim") {
+      section == "checkpoint") {
     apply_in_section(cfg, section, 0, key, value, 0);
     return;
   }

@@ -62,13 +62,6 @@ void CycleKernel::step_profiled() {
   ++now_;
 }
 
-void CycleKernel::run(Cycle cycles) {
-  stop_ = false;
-  for (Cycle i = 0; i < cycles && !stop_; ++i) {
-    step();
-  }
-}
-
 void CycleKernel::save_state(state::StateWriter& w) const {
   w.begin("cycle-kernel");
   w.put_u64(now_);

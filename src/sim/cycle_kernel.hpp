@@ -134,17 +134,13 @@ class CycleKernel {
   /// Execute one cycle: evaluate sweep then update sweep.
   void step();
 
-  /// Run `cycles` cycles, or fewer if request_stop() is called.
-  void run(Cycle cycles);
-
   /// Run until `predicate` returns true (checked after each cycle) or
   /// `max_cycles` elapse.  Returns the number of cycles executed.
   /// Templated so the per-cycle predicate check is a direct call.
   template <typename Pred>
   Cycle run_until(Pred&& predicate, Cycle max_cycles) {
-    stop_ = false;
     Cycle executed = 0;
-    while (executed < max_cycles && !stop_ && !predicate()) {
+    while (executed < max_cycles && !predicate()) {
       step();
       ++executed;
     }
@@ -155,7 +151,7 @@ class CycleKernel {
   Cycle now() const noexcept { return now_; }
 
   /// Fast-forward the clock to `target` without evaluating any component.
-  /// This is the temporal-decoupling primitive: the platform may only call
+  /// This is the idle-leap primitive: the platform may only call
   /// it after proving (via the components' idle bounds) that every skipped
   /// cycle would have been a no-op, and after bulk-replaying any per-cycle
   /// bookkeeping the components owe for the gap.  No-op if `target <= now`.
@@ -164,11 +160,6 @@ class CycleKernel {
       now_ = target;
     }
   }
-
-  /// Stop at the end of the current cycle.
-  void request_stop() noexcept { stop_ = true; }
-
-  bool stop_requested() const noexcept { return stop_; }
 
   /// Total component evaluations performed (for the speed benchmarks).
   std::uint64_t evaluations() const noexcept { return evaluations_; }
@@ -202,7 +193,6 @@ class CycleKernel {
   std::vector<Entry> components_;
   bool sorted_ = true;
   Cycle now_ = 0;
-  bool stop_ = false;
   std::uint64_t evaluations_ = 0;
 
   obs::SelfProfiler* profiler_ = nullptr;

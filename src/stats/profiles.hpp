@@ -83,8 +83,8 @@ struct BusProfile {
   void sample(unsigned requesters, bool busy, unsigned moved_bytes);
 
   /// Bulk-record `n` provably idle cycles (no requesters, not busy, no
-  /// data) — equivalent to calling sample(0, false, 0) `n` times.  Used by
-  /// the quantum-skip fast path.
+  /// data) — equivalent to calling sample(0, false, 0) `n` times.  Used
+  /// when the TLM platform leaps a provably idle stretch.
   void sample_idle_n(sim::Cycle n) noexcept { cycles += n; }
 
   void save_state(state::StateWriter& w) const;

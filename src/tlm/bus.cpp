@@ -119,7 +119,7 @@ bool AhbPlusBus::quiescent() const noexcept {
   });
 }
 
-// --------------------------------------------------------- quantum skip
+// ----------------------------------------------------------- idle leap
 
 sim::Cycle AhbPlusBus::idle_until(sim::Cycle now) const noexcept {
   if (inflight_active_ || granted_ || !wbuf_.empty()) {

@@ -95,7 +95,7 @@ class AhbPlusBus final : public sim::Clocked, public state::Snapshottable {
   /// All scripted work retired and nothing in flight anywhere.
   bool quiescent() const noexcept;
 
-  // ------------------------------------------------------- quantum skip
+  // --------------------------------------------------------- idle leap
 
   /// Lower bound on the bus's next "interesting" cycle: evaluate(t) is
   /// state-equivalent to the bulk replay skip_idle() performs for every t

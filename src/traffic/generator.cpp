@@ -344,7 +344,15 @@ ahb::Transaction ScriptSource::pop(sim::Cycle now) {
 void ScriptSource::on_complete(sim::Cycle now) {
   AHBP_ASSERT_MSG(in_flight_, "on_complete without an in-flight transaction");
   in_flight_ = false;
-  earliest_ = done() ? sim::kNeverCycle : now + script_[index_].gap;
+  if (done()) {
+    earliest_ = sim::kNeverCycle;
+  } else {
+    // Saturate one short of kNeverCycle, the "script exhausted" sentinel:
+    // an unchecked sum would wrap and issue the next item in the past.
+    const sim::Cycle gap = script_[index_].gap;
+    earliest_ = gap < sim::kNeverCycle - 1 - now ? now + gap
+                                                 : sim::kNeverCycle - 1;
+  }
   if (recorder_ != nullptr) {
     recorder_->record_complete(now);
   }

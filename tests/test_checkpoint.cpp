@@ -169,6 +169,26 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------- sharded-DDR coverage -----
 
+TEST(Checkpoint, RtlRunResumedOffBoundaryStopsWhereStraightRunDoes) {
+  // RtlFabric samples finished() only at absolute 256-cycle boundaries,
+  // and Platform::run drives it in 25,600-cycle heartbeat chunks.  A run
+  // resumed at an unaligned cycle must still stop where the uninterrupted
+  // run does, also when a chunk would end just past the workload's finish.
+  const core::PlatformConfig cfg = preset("single-master", 2200);
+  core::Platform straight(cfg, core::ModelKind::kRtl);
+  straight.run_to_completion();
+  const sim::Cycle end = straight.result().ran_cycles;
+  ASSERT_GT(end, sim::Cycle{25'600 + 256});
+  for (const sim::Cycle back :
+       {sim::Cycle{1}, sim::Cycle{100}, sim::Cycle{255}}) {
+    const sim::Cycle split = end - 25'600 - back;
+    core::Platform p(cfg, core::ModelKind::kRtl);
+    p.run(split);
+    p.run_to_completion();
+    EXPECT_EQ(p.result().ran_cycles, end) << "split at " << split;
+  }
+}
+
 TEST(Checkpoint, MultiChannelRestoreIsCycleExactBothModels) {
   for (const unsigned channels : {2u, 4u}) {
     core::PlatformConfig cfg = preset("table1/dma-1", 40);

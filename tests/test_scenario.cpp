@@ -362,52 +362,27 @@ TEST(ScenarioErrors, CheckpointBadKeysRejected) {
                scenario::ScenarioError);
 }
 
-TEST(ScenarioRoundTrip, SimSectionSurvives) {
-  auto cfg = scenario::ScenarioRegistry::builtin().build("single-master");
-  cfg.sim.quantum = 1024;
-
-  const std::string text = scenario::serialize(cfg);
-  EXPECT_NE(text.find("[sim]"), std::string::npos);
-  const auto rt = scenario::parse(text);
-  EXPECT_EQ(rt.sim.quantum, 1024u);
-  EXPECT_EQ(scenario::serialize(rt), text);
-
-  // Dotted overrides reach the knobs (sweepable like any other).
-  scenario::apply_key(cfg, "sim.quantum", "8");
-  EXPECT_EQ(cfg.sim.quantum, 8u);
-
-  // Defaults serialize to no section at all (canonical minimal form).
-  const auto plain =
-      scenario::ScenarioRegistry::builtin().build("single-master");
-  EXPECT_EQ(scenario::serialize(plain).find("[sim]"), std::string::npos);
-  EXPECT_EQ(scenario::parse(scenario::serialize(plain)).sim,
-            core::SimTuning{});
-}
-
-TEST(ScenarioErrors, SimBadKeysRejected) {
-  EXPECT_THROW(scenario::parse("[sim]\nbogus = 1\n"),
-               scenario::ScenarioError);
-  EXPECT_THROW(scenario::parse("[sim]\nquantum = 0\n"),
-               scenario::ScenarioError);
-}
-
-TEST(ScenarioErrors, DdrThreadsKeyIsUnknown) {
-  // The key no longer exists; a scenario that still sets it must fail
-  // loudly rather than be silently accepted.
-  for (const char* text : {"[sim]\nddr_threads = 1\n",
-                           "[sim]\nddr_threads = 4\n"}) {
+TEST(ScenarioErrors, SimSectionIsUnknown) {
+  // Idle leaping is always on, so the simulator-tuning section is gone:
+  // [sim] and every sim.* key, old ones included, fail as an unknown
+  // section, in a scenario file and as a dotted override.
+  const auto expect_unknown_sim = [](auto&& attempt, const char* what) {
     try {
-      scenario::parse(text);
-      ADD_FAILURE() << "accepted: " << text;
+      attempt();
+      ADD_FAILURE() << "accepted: " << what;
     } catch (const scenario::ScenarioError& e) {
-      EXPECT_NE(std::string(e.what()).find("unknown [sim] key 'ddr_threads'"),
+      EXPECT_NE(std::string(e.what()).find("unknown section 'sim'"),
                 std::string::npos)
           << e.what();
     }
+  };
+  for (const char* text : {"[sim]\n", "[sim]\nddr_threads = 4\n"}) {
+    expect_unknown_sim([&] { scenario::parse(text); }, text);
   }
   auto cfg = scenario::ScenarioRegistry::builtin().build("single-master");
-  EXPECT_THROW(scenario::apply_key(cfg, "sim.ddr_threads", "2"),
-               scenario::ScenarioError);
+  expect_unknown_sim(
+      [&] { scenario::apply_key(cfg, "sim.ddr_threads", "2"); },
+      "sim.ddr_threads");
 }
 
 // --------------------------------------------------- trace-backed masters --

@@ -69,7 +69,7 @@ TEST(CycleKernel, NowAdvancesPerStep) {
   EXPECT_EQ(k.now(), 0u);
   k.step();
   EXPECT_EQ(k.now(), 1u);
-  k.run(9);
+  k.run_until([] { return false; }, 9);
   EXPECT_EQ(k.now(), 10u);
 }
 
@@ -78,20 +78,8 @@ TEST(CycleKernel, EvaluateSeesCurrentCycleNumber) {
   std::vector<Cycle> seen;
   CallbackClocked c("c", 0, [&](Cycle now) { seen.push_back(now); });
   k.add(c);
-  k.run(3);
+  k.run_until([] { return false; }, 3);
   EXPECT_EQ(seen, (std::vector<Cycle>{0, 1, 2}));
-}
-
-TEST(CycleKernel, RequestStopEndsRun) {
-  CycleKernel k;
-  CallbackClocked c("c", 0, [&](Cycle now) {
-    if (now == 4) {
-      k.request_stop();
-    }
-  });
-  k.add(c);
-  k.run(100);
-  EXPECT_EQ(k.now(), 5u);  // stop takes effect at the end of cycle 4
 }
 
 TEST(CycleKernel, RunUntilPredicate) {
@@ -118,7 +106,7 @@ TEST(CycleKernel, EvaluationCounterCountsComponents) {
   CallbackClocked b("b", 0, [](Cycle) {});
   k.add(a);
   k.add(b);
-  k.run(10);
+  k.run_until([] { return false; }, 10);
   EXPECT_EQ(k.evaluations(), 20u);
 }
 

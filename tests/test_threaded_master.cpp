@@ -56,6 +56,17 @@ std::pair<sim::Cycle, std::uint64_t> run_with(
   return {kernel.now(), completed};
 }
 
+/// The hand-wired kernels above step every cycle (CycleKernel::run_until);
+/// the Platform leaps provably idle stretches.  Keep the plain per-cycle
+/// loop as a live reference: both must stop on the same cycle with the
+/// same completions.
+void expect_platform_matches(const core::PlatformConfig& cfg,
+                             const std::pair<sim::Cycle, std::uint64_t>& ref) {
+  const core::SimResult leaped = core::run_tlm(cfg);
+  EXPECT_EQ(leaped.ran_cycles, ref.first);
+  EXPECT_EQ(leaped.completed, ref.second);
+}
+
 TEST(ThreadedMaster, SingleMasterMatchesMethodBased) {
   const auto cfg = core::default_platform(1, 9, 25);
   const auto method = run_with<tlm::TlmMaster>(cfg);
@@ -63,6 +74,7 @@ TEST(ThreadedMaster, SingleMasterMatchesMethodBased) {
   EXPECT_EQ(method.first, threaded.first);    // identical cycle count
   EXPECT_EQ(method.second, threaded.second);  // identical completions
   EXPECT_EQ(threaded.second, 25u);
+  expect_platform_matches(cfg, method);
 }
 
 TEST(ThreadedMaster, MultiMasterMatchesMethodBased) {
@@ -74,6 +86,7 @@ TEST(ThreadedMaster, MultiMasterMatchesMethodBased) {
   EXPECT_EQ(method.first, threaded.first);
   EXPECT_EQ(method.second, threaded.second);
   EXPECT_EQ(threaded.second, 60u);
+  expect_platform_matches(cfg, method);
 }
 
 TEST(ThreadedMaster, CleanShutdownMidRun) {
@@ -93,7 +106,7 @@ TEST(ThreadedMaster, CleanShutdownMidRun) {
   tlm::ThreadedMaster m1(1, bus, std::move(scripts[1]));
   kernel.add(m0);
   kernel.add(m1);
-  kernel.run(40);  // stop mid-flight
+  kernel.run_until([] { return false; }, 40);  // stop mid-flight
   SUCCEED();       // destructors must join cleanly
 }
 

@@ -358,4 +358,32 @@ TEST(Trace, ReplayMatchesOriginalRun) {
   EXPECT_TRUE(original.finished);
 }
 
+TEST(Trace, HugeGapTimesOutInBothModels) {
+  // A gap that overflows the cycle counter must hold the next transaction
+  // off forever (the run times out after one completion), not wrap round
+  // and issue it at once.  Covers trace-backed and synthetic stimulus.
+  core::PlatformConfig traced = core::default_platform(1);
+  traced.max_cycles = 100'000;
+  StimulusSpec& spec = traced.masters[0].traffic;
+  spec.source = StimulusSource::kTrace;
+  spec.trace_text =
+      "0 R 100 4 SINGLE 1\n18446744073709551615 R 200 4 SINGLE 1\n";
+
+  core::PlatformConfig periodic = core::default_platform(1);
+  periodic.max_cycles = 100'000;
+  periodic.masters[0].traffic.kind = PatternKind::kRtStream;
+  periodic.masters[0].traffic.items = 3;
+  periodic.masters[0].traffic.period = ~std::uint64_t{0};
+
+  for (const core::PlatformConfig* cfg : {&traced, &periodic}) {
+    for (const core::SimResult& r :
+         {core::run_tlm(*cfg), core::run_rtl(*cfg)}) {
+      SCOPED_TRACE(r.model);
+      EXPECT_FALSE(r.finished);
+      EXPECT_EQ(r.completed, 1u);
+      EXPECT_EQ(r.ran_cycles, 100'000u);
+    }
+  }
+}
+
 }  // namespace

@@ -174,6 +174,30 @@ TEST(ScriptSource, PopBeforeReadyThrows) {
   EXPECT_NO_THROW(src.pop(110));
 }
 
+TEST(ScriptSource, HugeGapSaturatesInsteadOfWrapping) {
+  // now + gap past the end of the cycle range parks the next item one
+  // short of kNeverCycle (the "script exhausted" sentinel) instead of
+  // wrapping round to a cycle in the past.
+  for (const std::uint64_t gap :
+       {~std::uint64_t{0}, ahbp::sim::kNeverCycle - 18}) {
+    Script s(2);
+    s[1].gap = gap;
+    ScriptSource src(std::move(s));
+    src.pop(0);
+    src.on_complete(18);
+    EXPECT_FALSE(src.ready(18)) << gap;
+    EXPECT_FALSE(src.ready(1'000'000)) << gap;
+    EXPECT_EQ(src.next_ready_at(), ahbp::sim::kNeverCycle - 1) << gap;
+  }
+  // The largest gap that fits lands exactly on the saturation cycle.
+  Script s(2);
+  s[1].gap = ahbp::sim::kNeverCycle - 1 - 18;
+  ScriptSource src(std::move(s));
+  src.pop(0);
+  src.on_complete(18);
+  EXPECT_EQ(src.next_ready_at(), ahbp::sim::kNeverCycle - 1);
+}
+
 TEST(ScriptSource, IssuedAndTotalCounters) {
   Script s(3);
   ScriptSource src(std::move(s));

@@ -13,8 +13,11 @@ ratio falls below tolerance x median.  A uniform slowdown (slower runner)
 passes; one model regressing relative to the others fails.
 
 Also re-asserts the artifact's shape invariants (shape_ok, positive
-throughputs, phase tables, quantum batching not slower than cycle-by-cycle)
-so the gate subsumes the old shape check.
+throughputs, phase tables) so the gate subsumes the old shape check, and
+that the fresh run simulated exactly what the reference did: the same
+`items`, and identical `cycles` on every row of both files.  Simulated
+cycles do not depend on the host, so any difference is a behaviour change,
+not noise.
 
 usage: check_bench_speed.py NEW.json REFERENCE.json [--tolerance 0.85]
 """
@@ -51,14 +54,24 @@ def main():
     for m, row in new["models"].items():
         assert row["kcycles_per_sec"] > 0, f"non-positive throughput: {m}"
     assert new["phases"]["tlm"] and new["phases"]["rtl"], "missing phase tables"
-    uplift = new.get("quantum_uplift", 0.0)
-    assert uplift >= 1.0, (
-        f"quantum batching slower than cycle-by-cycle (uplift {uplift:.2f})"
-    )
 
-    models = sorted(set(new["models"]) & set(ref["models"]))
+    # Simulated behaviour is host-independent: same workload, same cycles.
+    assert new["items"] == ref["items"], (
+        f"items differ: fresh {new['items']} vs reference {ref['items']}"
+    )
+    assert set(new["models"]) == set(ref["models"]), (
+        f"rows differ: fresh {sorted(new['models'])} vs reference "
+        f"{sorted(ref['models'])}"
+    )
+    for m, row in new["models"].items():
+        assert row["cycles"] == ref["models"][m]["cycles"], (
+            f"{m}: fresh run simulated {row['cycles']} cycles, reference "
+            f"{ref['models'][m]['cycles']}"
+        )
+
+    models = sorted(new["models"])
     if not models:
-        print("no common models between new and reference artifacts")
+        print("no models in the artifacts")
         return 1
 
     ratios = {}
