@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "rtl/bitlevel.hpp"
 #include "sim/clock.hpp"
 #include "sim/cycle_kernel.hpp"
 #include "sim/event_kernel.hpp"
@@ -102,16 +101,16 @@ BENCHMARK(BM_SignalRewriteUnchanged);
 // packed kernel signal; each flipped bit still counts as its own commit.
 void BM_BitBusDrive(benchmark::State& state) {
   EventKernel k;
-  ahbp::rtl::BitBus bus(k, "pin", 32);
+  BitVector bus(k, "pin", 32);
   std::uint64_t x = 0x9E3779B97F4A7C15ULL;
   for (auto _ : state) {
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;
-    bus.drive(x);
+    bus.write(x);
     k.settle();
   }
-  benchmark::DoNotOptimize(bus.sample());
+  benchmark::DoNotOptimize(bus.read());
   state.counters["commits_per_drive"] = benchmark::Counter(
       static_cast<double>(k.stats().signal_commits),
       benchmark::Counter::kAvgIterations);

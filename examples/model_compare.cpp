@@ -6,7 +6,6 @@
 //   $ ./model_compare            # default: the dma-2 Table-1 row
 //   $ ./model_compare rt-1 300   # any Table-1 row name + txns/master
 
-#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -45,10 +44,7 @@ int main(int argc, char** argv) {
   const core::SimResult rtl = core::run_rtl(cfg);
   const core::SimResult tlm = core::run_tlm(cfg);
 
-  const double err =
-      std::abs(static_cast<double>(tlm.cycles) -
-               static_cast<double>(rtl.cycles)) /
-      static_cast<double>(rtl.cycles);
+  const double err = core::cycle_error(tlm, rtl);
 
   stats::TextTable t({"metric", "signal-level", "TLM"});
   t.add_row({"cycles (last completion)", std::to_string(rtl.cycles),

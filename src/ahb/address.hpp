@@ -88,8 +88,6 @@ class AddressMap {
   /// typically routes unmapped addresses to a default slave that ERRORs).
   std::optional<int> decode(Addr a) const noexcept;
 
-  const std::vector<Region>& regions() const noexcept { return regions_; }
-
  private:
   std::vector<Region> regions_;
 };

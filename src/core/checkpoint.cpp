@@ -353,14 +353,6 @@ const traffic::TraceRecorder& Platform::capture(ahb::MasterId m) const {
   return *im.recorders[m];
 }
 
-void Platform::checkpoint_at(sim::Cycle at, state::StateWriter& w) {
-  const sim::Cycle done = now();
-  if (at > done) {
-    run(at - done);
-  }
-  save_state(w);
-}
-
 void Platform::save_state(state::StateWriter& w) const {
   const Impl& im = *impl_;
   w.begin("platform");
@@ -482,14 +474,6 @@ void apply_embedded_traces(PlatformConfig& cfg, const CheckpointInfo& info) {
     spec.trace_text = text;
     spec.trace_loaded = true;  // embedded content wins even when empty
   }
-}
-
-SimResult run_from(const PlatformConfig& cfg, ModelKind model,
-                   state::StateReader& r) {
-  Platform p(cfg, model);
-  p.restore_state(r);
-  p.run_to_completion();
-  return p.result();
 }
 
 }  // namespace ahbp::core

@@ -138,10 +138,6 @@ class Platform : public state::Snapshottable {
   /// Master `m`'s capture tap (enable_capture() must have been called).
   const traffic::TraceRecorder& capture(ahb::MasterId m) const;
 
-  /// Convenience: run until cycle `at` (no-op if already past), then
-  /// serialize the platform section into `w`.
-  void checkpoint_at(sim::Cycle at, state::StateWriter& w);
-
   void save_state(state::StateWriter& w) const override;
   void restore_state(state::StateReader& r) override;
 
@@ -183,10 +179,5 @@ void write_checkpoint_file(const std::string& path, const Platform& p,
 /// Read the header section, leaving `r` positioned at the platform section
 /// (pass it to Platform::restore_state).  Throws state::StateError.
 CheckpointInfo read_checkpoint_header(state::StateReader& r);
-
-/// Restore `r`'s platform section into a fresh platform built from
-/// (cfg, model) and run it to completion.
-SimResult run_from(const PlatformConfig& cfg, ModelKind model,
-                   state::StateReader& r);
 
 }  // namespace ahbp::core

@@ -5,6 +5,15 @@
 
 namespace ahbp::core {
 
+double cycle_error(const SimResult& tlm, const SimResult& rtl) {
+  if (rtl.cycles == 0) {
+    return 0.0;
+  }
+  return std::abs(static_cast<double>(tlm.cycles) -
+                  static_cast<double>(rtl.cycles)) /
+         static_cast<double>(rtl.cycles);
+}
+
 AccuracyRow compare_models(const Workload& w) {
   const SimResult rtl = run_rtl(w.config);
   const SimResult tlm = run_tlm(w.config);
@@ -14,11 +23,7 @@ AccuracyRow compare_models(const Workload& w) {
   row.tlm_cycles = tlm.cycles;
   row.both_finished = rtl.finished && tlm.finished;
   row.protocol_errors = rtl.protocol_errors + tlm.protocol_errors;
-  if (rtl.cycles != 0) {
-    const double diff = static_cast<double>(tlm.cycles) -
-                        static_cast<double>(rtl.cycles);
-    row.error = std::abs(diff) / static_cast<double>(rtl.cycles);
-  }
+  row.error = cycle_error(tlm, rtl);
   return row;
 }
 

@@ -11,6 +11,11 @@
 
 namespace ahbp::core {
 
+/// The Table-1 accuracy metric: |tlm - rtl| / rtl total cycles (0 when the
+/// RTL count is 0).  One definition for run reports, sweep tables, the
+/// accuracy suite and the equivalence tests.
+double cycle_error(const SimResult& tlm, const SimResult& rtl);
+
 /// One row of the accuracy table.
 struct AccuracyRow {
   std::string name;

@@ -35,17 +35,6 @@ struct MasterSpec {
   traffic::StimulusSpec traffic;
 };
 
-/// Declarative checkpoint request (the scenario `[checkpoint]` section):
-/// `ahbp_sim run` — and any other Platform driver that honours it — stops
-/// at `at_cycle`, serializes the platform to `path`, then continues.
-struct CheckpointSpec {
-  sim::Cycle at_cycle = 0;  ///< 0 = no checkpoint
-  std::string path;
-
-  bool enabled() const noexcept { return at_cycle > 0 && !path.empty(); }
-  bool operator==(const CheckpointSpec&) const = default;
-};
-
 struct PlatformConfig {
   ahb::BusConfig bus;
   /// Shared DDR part description; with `interleave.channels > 1` every
@@ -63,8 +52,6 @@ struct PlatformConfig {
   std::vector<MasterSpec> masters;
   bool enable_checkers = true;
   sim::Cycle max_cycles = 4'000'000;
-  /// Optional mid-run snapshot (scenario `[checkpoint]` section).
-  CheckpointSpec checkpoint;
 };
 
 /// Resolved per-channel DDR configuration (shared base + overrides).

@@ -193,8 +193,6 @@ class ChannelSet {
   std::uint32_t bank_base(std::uint32_t ch) const noexcept {
     return bank_base_[ch];
   }
-  /// Total bank wires across every channel.
-  std::uint32_t total_banks() const noexcept { return bank_base_.back(); }
 
   /// Outstanding background write chunks across every channel.
   std::size_t pending_write_chunks() const noexcept;

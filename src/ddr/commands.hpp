@@ -20,33 +20,6 @@ enum class CmdKind : std::uint8_t {
   kRefresh,    ///< auto-refresh (all banks must be idle)
 };
 
-/// Scheduling priority class (paper §3.3: "column, row, and pre-charge
-/// accesses have different priorities by scheduling scheme").  Lower value
-/// wins; column accesses move data so they outrank row opens, which outrank
-/// speculative precharges.
-enum class CmdClass : std::uint8_t {
-  kColumn = 0,
-  kRow = 1,
-  kPrecharge = 2,
-  kOther = 3,
-};
-
-constexpr CmdClass cmd_class(CmdKind k) noexcept {
-  switch (k) {
-    case CmdKind::kRead:
-    case CmdKind::kWrite:
-      return CmdClass::kColumn;
-    case CmdKind::kActivate:
-      return CmdClass::kRow;
-    case CmdKind::kPrecharge:
-      return CmdClass::kPrecharge;
-    case CmdKind::kRefresh:
-    case CmdKind::kNop:
-      return CmdClass::kOther;
-  }
-  return CmdClass::kOther;
-}
-
 /// One command on the DRAM command bus.
 struct Command {
   CmdKind kind = CmdKind::kNop;

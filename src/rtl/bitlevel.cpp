@@ -5,12 +5,13 @@
 namespace ahbp::rtl {
 
 RippleIncrementer::RippleIncrementer(sim::EventKernel& k,
-                                     const std::string& base, BitBus& input,
+                                     const std::string& base,
+                                     sim::BitVector& input,
                                      sim::Signal<std::uint8_t>& step)
     : in_(input), step_(step) {
   const unsigned width = input.width();
   const unsigned nibbles = (width + 3) / 4;
-  sum_ = std::make_unique<BitBus>(k, base + ".sum", width);
+  sum_ = std::make_unique<sim::BitVector>(k, base + ".sum", width);
   signal_count_ += width;
   carry_.reserve(nibbles);
   for (unsigned n = 0; n < nibbles; ++n) {
@@ -25,13 +26,13 @@ RippleIncrementer::RippleIncrementer(sim::EventKernel& k,
   for (unsigned n = 0; n < nibbles; ++n) {
     auto body = [this, n] {
       const unsigned shift = n * 4;
-      unsigned acc = static_cast<unsigned>((in_.sample() >> shift) & 0xFU);
+      unsigned acc = static_cast<unsigned>((in_.read() >> shift) & 0xFU);
       if (n == 0) {
         acc += step_.read();
       } else if (carry_[n - 1]->read()) {
         acc += 1;
       }
-      sum_->wires().write_masked(0xFULL << shift,
+      sum_->write_masked(0xFULL << shift,
                                  static_cast<std::uint64_t>(acc) << shift);
       carry_[n]->write(acc >= 16);
     };
@@ -41,7 +42,7 @@ RippleIncrementer::RippleIncrementer(sim::EventKernel& k,
     for (unsigned b = 0; b < 4; ++b) {
       const unsigned i = n * 4 + b;
       if (i < width) {
-        in_.wires().subscribe_bit(i, p);
+        in_.subscribe_bit(i, p);
       }
     }
     if (n == 0) {
@@ -56,20 +57,20 @@ BitLevelLayer::BitLevelLayer(sim::EventKernel& k, SharedWires& shared,
                              std::vector<MasterWires*> columns)
     : sh_(shared), cols_(std::move(columns)) {
   // Blasted shared buses: the pins of the fabric.
-  haddr_bits_ = std::make_unique<BitBus>(k, "pin.haddr", 32);
-  hwdata_bits_ = std::make_unique<BitBus>(k, "pin.hwdata", 32);
-  hrdata_bits_ = std::make_unique<BitBus>(k, "pin.hrdata", 32);
+  haddr_bits_ = std::make_unique<sim::BitVector>(k, "pin.haddr", 32);
+  hwdata_bits_ = std::make_unique<sim::BitVector>(k, "pin.hwdata", 32);
+  hrdata_bits_ = std::make_unique<sim::BitVector>(k, "pin.hrdata", 32);
   signal_count_ += 96;
   haddr_blast_ = std::make_unique<sim::Process>(k, "pin.haddr.blast", [this] {
-    haddr_bits_->drive(sh_.haddr.read());
+    haddr_bits_->write(sh_.haddr.read());
   });
   sh_.haddr.subscribe(*haddr_blast_);
   hwdata_blast_ = std::make_unique<sim::Process>(k, "pin.hwdata.blast", [this] {
-    hwdata_bits_->drive(sh_.hwdata.read());
+    hwdata_bits_->write(sh_.hwdata.read());
   });
   sh_.hwdata.subscribe(*hwdata_blast_);
   hrdata_blast_ = std::make_unique<sim::Process>(k, "pin.hrdata.blast", [this] {
-    hrdata_bits_->drive(sh_.hrdata.read());
+    hrdata_bits_->write(sh_.hrdata.read());
   });
   sh_.hrdata.subscribe(*hrdata_blast_);
 
@@ -78,12 +79,12 @@ BitLevelLayer::BitLevelLayer(sim::EventKernel& k, SharedWires& shared,
   for (unsigned i = 0; i < cols_.size(); ++i) {
     ColumnBits cb;
     const std::string base = "pin.m" + std::to_string(i);
-    cb.haddr_bits = std::make_unique<BitBus>(k, base + ".haddr", 32);
+    cb.haddr_bits = std::make_unique<sim::BitVector>(k, base + ".haddr", 32);
     signal_count_ += 32;
     MasterWires* col = cols_[i];
-    BitBus* bb = cb.haddr_bits.get();
+    sim::BitVector* bb = cb.haddr_bits.get();
     cb.blast = std::make_unique<sim::Process>(
-        k, base + ".blast", [col, bb] { bb->drive(col->haddr.read()); });
+        k, base + ".blast", [col, bb] { bb->write(col->haddr.read()); });
     col->haddr.subscribe(*cb.blast);
 
     cb.step = std::make_unique<sim::Signal<std::uint8_t>>(k, base + ".step");

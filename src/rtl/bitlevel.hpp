@@ -32,45 +32,25 @@
 
 namespace ahbp::rtl {
 
-/// A bundle of single-bit wires shadowing one word-level bus.
-class BitBus {
- public:
-  BitBus(sim::EventKernel& k, const std::string& base, unsigned width)
-      : wires_(k, base, width) {}
-
-  unsigned width() const noexcept { return wires_.width(); }
-  sim::BitVector& wires() noexcept { return wires_; }
-
-  /// Drive all bits from a word value (each changed bit commits + wakes
-  /// its subscribers independently).
-  void drive(std::uint64_t v) { wires_.write(v); }
-
-  /// The committed word.
-  std::uint64_t sample() const noexcept { return wires_.read(); }
-
- private:
-  sim::BitVector wires_;
-};
-
-/// Ripple-carry incrementer over a BitBus: one combinational process per
-/// nibble, chained through carry wires.  Computing A+step ripples the
-/// carries through up to width/4 delta rounds.
+/// Ripple-carry incrementer over a packed pin bus: one combinational
+/// process per nibble, chained through carry wires.  Computing A+step
+/// ripples the carries through up to width/4 delta rounds.
 class RippleIncrementer {
  public:
   RippleIncrementer(sim::EventKernel& k, const std::string& base,
-                    BitBus& input, sim::Signal<std::uint8_t>& step);
+                    sim::BitVector& input, sim::Signal<std::uint8_t>& step);
 
   RippleIncrementer(const RippleIncrementer&) = delete;
   RippleIncrementer& operator=(const RippleIncrementer&) = delete;
 
-  std::uint64_t sum() const { return sum_->sample(); }
+  std::uint64_t sum() const { return sum_->read(); }
   /// Wires modelled (each pin counts one), not registry entries.
   std::size_t signal_count() const noexcept { return signal_count_; }
 
  private:
-  BitBus& in_;
+  sim::BitVector& in_;
   sim::Signal<std::uint8_t>& step_;
-  std::unique_ptr<BitBus> sum_;
+  std::unique_ptr<sim::BitVector> sum_;
   std::vector<std::unique_ptr<sim::Signal<bool>>> carry_;  ///< per nibble
   std::vector<std::unique_ptr<sim::Process>> nibbles_;
   std::size_t signal_count_ = 0;
@@ -93,15 +73,15 @@ class BitLevelLayer {
   SharedWires& sh_;
   std::vector<MasterWires*> cols_;
 
-  std::unique_ptr<BitBus> haddr_bits_;
-  std::unique_ptr<BitBus> hwdata_bits_;
-  std::unique_ptr<BitBus> hrdata_bits_;
+  std::unique_ptr<sim::BitVector> haddr_bits_;
+  std::unique_ptr<sim::BitVector> hwdata_bits_;
+  std::unique_ptr<sim::BitVector> hrdata_bits_;
   std::unique_ptr<sim::Process> haddr_blast_;
   std::unique_ptr<sim::Process> hwdata_blast_;
   std::unique_ptr<sim::Process> hrdata_blast_;
 
   struct ColumnBits {
-    std::unique_ptr<BitBus> haddr_bits;
+    std::unique_ptr<sim::BitVector> haddr_bits;
     std::unique_ptr<sim::Process> blast;
     std::unique_ptr<sim::Signal<std::uint8_t>> step;
     std::unique_ptr<sim::Process> step_proc;

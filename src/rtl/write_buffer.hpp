@@ -74,7 +74,6 @@ class RtlWriteBuffer {
   }
 
   bool draining() const noexcept { return drain_active_; }
-  const ahb::Transaction& drain_front() const { return fifo_.front(); }
 
   const tlm::WriteBuffer& fifo() const noexcept { return fifo_; }
   tlm::WriteBuffer& fifo() noexcept { return fifo_; }

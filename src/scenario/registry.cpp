@@ -198,27 +198,6 @@ core::PlatformConfig load_scenario(const std::string& ref, unsigned items,
   if (reg.find(ref) != nullptr) {
     return reg.build(ref, items, seed);
   }
-  // `workload/NAME` names a registered capture: the replay scenario that
-  // `ahbp_sim run --capture-trace --register NAME` installed under
-  // captures/NAME/ (resolved relative to the CWD, like any scenario path).
-  if (ref.rfind("workload/", 0) == 0) {
-    const std::string name = ref.substr(9);
-    const std::string path = "captures/" + name + "/replay.scenario";
-    std::ifstream reg_probe(path);
-    if (!reg_probe) {
-      throw ScenarioError(
-          "workload '" + name + "' is not registered (no " + path +
-          "); record one with: ahbp_sim run <scenario> --register " + name);
-    }
-    core::PlatformConfig cfg = parse_file(path);
-    if (items != 0) {
-      apply_key(cfg, "master*.items", std::to_string(items));
-    }
-    if (seed != 0) {
-      apply_key(cfg, "master*.seed", std::to_string(seed));
-    }
-    return cfg;
-  }
   std::ifstream probe(ref);
   if (!probe) {
     throw ScenarioError("'" + ref +

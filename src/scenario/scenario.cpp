@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "ddr/timing.hpp"
@@ -51,6 +52,9 @@ std::uint64_t parse_u64_max(std::string_view v, std::uint64_t max,
   }
   return x;
 }
+
+/// Ceiling for keys stored in `unsigned` fields: larger values would wrap.
+constexpr std::uint64_t kUnsignedMax = std::numeric_limits<unsigned>::max();
 
 std::uint64_t parse_u64_range(std::string_view v, std::uint64_t min,
                               std::uint64_t max, std::size_t line) {
@@ -138,7 +142,8 @@ void apply_bus(core::PlatformConfig& cfg, std::string_view key,
   } else if (key == "write_buffer") {
     b.write_buffer_enabled = parse_bool(value, line);
   } else if (key == "write_buffer_depth") {
-    b.write_buffer_depth = static_cast<unsigned>(parse_u64(value, line));
+    b.write_buffer_depth =
+        static_cast<unsigned>(parse_u64_max(value, kUnsignedMax, line));
   } else if (key == "request_pipelining") {
     b.request_pipelining = parse_bool(value, line);
   } else if (key == "bi_hints") {
@@ -147,7 +152,8 @@ void apply_bus(core::PlatformConfig& cfg, std::string_view key,
     b.urgency_slack_threshold =
         static_cast<std::uint32_t>(parse_u64_max(value, ~std::uint32_t{0}, line));
   } else if (key == "drain_watermark") {
-    b.drain_watermark = static_cast<unsigned>(parse_u64(value, line));
+    b.drain_watermark =
+        static_cast<unsigned>(parse_u64_max(value, kUnsignedMax, line));
   } else if (key == "grant_to_start") {
     b.tlm_grant_to_start = parse_u64(value, line);
   } else {
@@ -297,7 +303,8 @@ void apply_master(core::MasterSpec& m, std::string_view key,
   } else if (key == "seed") {
     m.traffic.seed = parse_u64(value, line);
   } else if (key == "items") {
-    m.traffic.items = static_cast<unsigned>(parse_u64(value, line));
+    m.traffic.items =
+        static_cast<unsigned>(parse_u64_max(value, kUnsignedMax, line));
   } else if (key == "base") {
     m.traffic.base = parse_u64(value, line);
   } else if (key == "span") {
@@ -313,21 +320,10 @@ void apply_master(core::MasterSpec& m, std::string_view key,
   } else if (key == "mean_gap") {
     m.traffic.mean_gap = parse_u64(value, line);
   } else if (key == "dma_burst_beats") {
-    m.traffic.dma_burst_beats = static_cast<unsigned>(parse_u64(value, line));
+    m.traffic.dma_burst_beats =
+        static_cast<unsigned>(parse_u64_max(value, kUnsignedMax, line));
   } else {
     throw ScenarioError("unknown [master] key '" + std::string(key) + "'",
-                        line);
-  }
-}
-
-void apply_checkpoint(core::PlatformConfig& cfg, std::string_view key,
-                      std::string_view value, std::size_t line) {
-  if (key == "at_cycle") {
-    cfg.checkpoint.at_cycle = parse_u64(value, line);
-  } else if (key == "path") {
-    cfg.checkpoint.path = std::string(trim(value));
-  } else {
-    throw ScenarioError("unknown [checkpoint] key '" + std::string(key) + "'",
                         line);
   }
 }
@@ -347,8 +343,6 @@ void apply_in_section(core::PlatformConfig& cfg, std::string_view section,
     apply_bus(cfg, key, value, line);
   } else if (section == "ddr") {
     apply_ddr(cfg, key, value, line);
-  } else if (section == "checkpoint") {
-    apply_checkpoint(cfg, key, value, line);
   } else if (section == "channel") {
     if (master_idx >= kMaxChannels) {
       throw ScenarioError("channel index " + std::to_string(master_idx) +
@@ -479,7 +473,7 @@ core::PlatformConfig parse(std::string_view text) {
     if (l.kind == lex::Line::Kind::kSection) {
       std::string_view idx;
       if (l.section == "platform" || l.section == "bus" ||
-          l.section == "ddr" || l.section == "checkpoint") {
+          l.section == "ddr") {
         section = l.section;
       } else if (lex::channel_section(l.section, idx)) {
         if (idx.empty()) {
@@ -559,15 +553,6 @@ std::string serialize(const core::PlatformConfig& cfg) {
   os << "urgency_slack_threshold = " << b.urgency_slack_threshold << "\n";
   os << "drain_watermark = " << b.drain_watermark << "\n";
   os << "grant_to_start = " << b.tlm_grant_to_start << "\n";
-
-  // Only when requested — the canonical form is the minimal delta.
-  if (cfg.checkpoint.at_cycle != 0 || !cfg.checkpoint.path.empty()) {
-    os << "\n[checkpoint]\n";
-    os << "at_cycle = " << cfg.checkpoint.at_cycle << "\n";
-    if (!cfg.checkpoint.path.empty()) {
-      os << "path = " << cfg.checkpoint.path << "\n";
-    }
-  }
 
   const ddr::DdrTiming& t = cfg.timing;
   const ddr::Geometry& g = cfg.geom;
@@ -660,8 +645,7 @@ void apply_key(core::PlatformConfig& cfg, std::string_view dotted_key,
   const std::string_view section = trim(dotted_key.substr(0, dot));
   const std::string_view key = trim(dotted_key.substr(dot + 1));
 
-  if (section == "platform" || section == "bus" || section == "ddr" ||
-      section == "checkpoint") {
+  if (section == "platform" || section == "bus" || section == "ddr") {
     apply_in_section(cfg, section, 0, key, value, 0);
     return;
   }

@@ -147,23 +147,6 @@ void check_config(LintReport& r, const PlatformConfig& cfg,
     }
   }
 
-  // Checkpoint liveness.
-  if (cfg.checkpoint.at_cycle > 0 && cfg.checkpoint.path.empty()) {
-    add(r, LintSeverity::kWarning, "checkpoint/partial", where,
-        "[checkpoint] sets at_cycle = " +
-            std::to_string(cfg.checkpoint.at_cycle) +
-            " but no path — no snapshot will be written");
-  } else if (cfg.checkpoint.at_cycle == 0 && !cfg.checkpoint.path.empty()) {
-    add(r, LintSeverity::kWarning, "checkpoint/partial", where,
-        "[checkpoint] sets a path but at_cycle = 0 — no snapshot will be"
-        " written");
-  } else if (cfg.checkpoint.enabled() &&
-             cfg.checkpoint.at_cycle >= cfg.max_cycles) {
-    add(r, LintSeverity::kWarning, "checkpoint/dead", where,
-        "checkpoint at_cycle = " + std::to_string(cfg.checkpoint.at_cycle) +
-            " is not before max_cycles = " + std::to_string(cfg.max_cycles) +
-            " — the run ends before the snapshot point");
-  }
 }
 
 // -------------------------------------------------------------- per-spec --

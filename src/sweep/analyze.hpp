@@ -88,7 +88,7 @@ struct LintOptions {
 };
 
 /// Whole-config checks on one configuration (feasibility, bandwidth,
-/// channel balance, trace validity, checkpoint liveness).
+/// channel balance, trace validity).
 LintReport lint_config(const core::PlatformConfig& cfg,
                        const LintOptions& opts = {});
 

@@ -1,12 +1,12 @@
 #include "sweep/runner.hpp"
 
 #include <atomic>
-#include <cmath>
 #include <exception>
 #include <ostream>
 #include <thread>
 
 #include "core/checkpoint.hpp"
+#include "core/compare.hpp"
 #include "obs/stall.hpp"
 #include "state/snapshot.hpp"
 
@@ -25,20 +25,11 @@ bool model_from_string(std::string_view name, Model& out) {
   return true;
 }
 
-double cycle_error(const core::SimResult& tlm, const core::SimResult& rtl) {
-  if (rtl.cycles == 0) {
-    return 0.0;
-  }
-  return std::abs(static_cast<double>(tlm.cycles) -
-                  static_cast<double>(rtl.cycles)) /
-         static_cast<double>(rtl.cycles);
-}
-
 double PointOutcome::cycle_error() const noexcept {
   if (!has_tlm || !has_rtl) {
     return 0.0;
   }
-  return sweep::cycle_error(tlm, rtl);
+  return core::cycle_error(tlm, rtl);
 }
 
 std::vector<PointOutcome> SweepRunner::run(

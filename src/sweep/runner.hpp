@@ -54,10 +54,6 @@ enum class Model : std::uint8_t {
 /// Parse "tlm" / "rtl" / "both".  Returns false on an unknown name.
 bool model_from_string(std::string_view name, Model& out);
 
-/// The Table-1 accuracy metric: |tlm - rtl| / rtl total cycles (0 when the
-/// RTL count is 0).  One definition, used by run reports and sweep tables.
-double cycle_error(const core::SimResult& tlm, const core::SimResult& rtl);
-
 /// Outcome of one sweep point.
 struct PointOutcome {
   std::size_t index = 0;

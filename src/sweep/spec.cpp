@@ -75,7 +75,7 @@ SweepSpec parse_spec(std::string_view text) {
       if (l.section == "sweep") {
         section = "sweep";
       } else if (l.section == "platform" || l.section == "bus" ||
-                 l.section == "ddr" || l.section == "checkpoint") {
+                 l.section == "ddr") {
         section = l.section;
         keep_line();
       } else if (scenario::lex::channel_section(l.section, idx)) {
@@ -119,13 +119,6 @@ SweepSpec parse_spec(std::string_view text) {
         throw ScenarioError("sweep axis key must be dotted, e.g."
                             " bus.write_buffer_depth",
                             l.number);
-      }
-      if (key.rfind("checkpoint.", 0) == 0) {
-        throw ScenarioError(
-            "checkpoint keys cannot be swept (points run in parallel and"
-            " would clobber one snapshot file); warm-up forking is"
-            " 'sweep --warmup-cycles N'",
-            l.number);
       }
       spec.axes.push_back({key, split_list(value, l.number)});
     } else if (key == "base") {
@@ -184,16 +177,6 @@ SweepSpec parse_spec(std::string_view text) {
     core::resolve_stimulus(spec.base_config);
   } catch (const std::exception& e) {
     throw ScenarioError("base: " + std::string(e.what()));
-  }
-
-  // A [checkpoint] request in the base would be silently dead (the runner
-  // never snapshots per point — N parallel points would clobber one file);
-  // reject it instead of ignoring configuration.
-  if (spec.base_config.checkpoint.enabled()) {
-    throw ScenarioError(
-        "sweep bases cannot request a [checkpoint] (every point would"
-        " write the same file); take the snapshot with 'ahbp_sim"
-        " checkpoint' or fork the sweep with '--warmup-cycles N'");
   }
 
   return spec;

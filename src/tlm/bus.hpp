@@ -79,9 +79,6 @@ class AhbPlusBus final : public sim::Clocked, public state::Snapshottable {
 
   const stats::BusProfile& bus_profile() const noexcept { return bus_profile_; }
   const WriteBuffer& write_buffer() const noexcept { return wbuf_; }
-  stats::MasterProfile& master_profile(ahb::MasterId m) {
-    return master_profiles_.at(m);
-  }
   const std::vector<stats::MasterProfile>& master_profiles() const noexcept {
     return master_profiles_;
   }

@@ -130,14 +130,4 @@ void TraceRecorder::record_issue(sim::Cycle now, const ahb::Transaction& txn) {
 
 void TraceRecorder::record_complete(sim::Cycle now) { last_complete_ = now; }
 
-std::string TraceRecorder::to_trace_text() const {
-  std::ostringstream os;
-  save_trace(os, items_);
-  return os.str();
-}
-
-std::string TraceRecorder::to_trace_bin() const {
-  return trace_bin_bytes(items_);
-}
-
 }  // namespace ahbp::traffic

@@ -103,15 +103,6 @@ class TraceRecorder {
   ahb::MasterId master() const noexcept { return master_; }
   const Script& captured() const noexcept { return items_; }
 
-  /// The capture in text trace-file form (traffic/trace.hpp), ready to be
-  /// written to disk or embedded as a resolved `StimulusSpec::trace_text`.
-  std::string to_trace_text() const;
-
-  /// The capture in binary trace-file form (traffic/trace_bin.hpp) —
-  /// interchangeable with the text form everywhere a trace is accepted
-  /// (expansion auto-detects by magic), ~10x faster to load back.
-  std::string to_trace_bin() const;
-
  private:
   ahb::MasterId master_;
   Script items_;

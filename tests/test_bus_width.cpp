@@ -6,13 +6,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "ahb/address.hpp"
 #include "ahb/types.hpp"
 #include "assertions/assert.hpp"
 #include "assertions/bus_checker.hpp"
+#include "core/compare.hpp"
 #include "core/platform.hpp"
 #include "core/workloads.hpp"
 #include "ddr/scheduler.hpp"
@@ -307,12 +307,8 @@ TEST(BusWidthEquivalence, ModelsAgreeAndCyclesNeverIncreaseWithWidth) {
     EXPECT_EQ(t.completed, r.completed) << "width " << w;
 
     // The Table-1 accuracy contract holds at every width.
-    const double err =
-        std::abs(static_cast<double>(t.cycles) -
-                 static_cast<double>(r.cycles)) /
-        static_cast<double>(r.cycles);
-    EXPECT_LT(err, 0.15) << "width " << w << ": tlm=" << t.cycles
-                         << " rtl=" << r.cycles;
+    EXPECT_LT(core::cycle_error(t, r), 0.15)
+        << "width " << w << ": tlm=" << t.cycles << " rtl=" << r.cycles;
     tlm_cycles.push_back(t.cycles);
     rtl_cycles.push_back(r.cycles);
   }

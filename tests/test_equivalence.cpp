@@ -6,12 +6,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <map>
 #include <string>
 #include <tuple>
 
 #include "core/checkpoint.hpp"
+#include "core/compare.hpp"
 #include "core/platform.hpp"
 #include "core/workloads.hpp"
 #include "scenario/scenario.hpp"
@@ -75,12 +75,8 @@ TEST_P(EquivalenceSweep, IdenticalReadDataAndBoundedCycleGap) {
   }
 
   // Cycle divergence bound (loose; the bench reports exact percentages).
-  const sim::Cycle t = tlm.result.cycles;
-  const sim::Cycle r = rtl.result.cycles;
-  const double err =
-      std::abs(static_cast<double>(t) - static_cast<double>(r)) /
-      static_cast<double>(r);
-  EXPECT_LT(err, 0.15) << "tlm=" << t << " rtl=" << r;
+  EXPECT_LT(cycle_error(tlm.result, rtl.result), 0.15)
+      << "tlm=" << tlm.result.cycles << " rtl=" << rtl.result.cycles;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -116,10 +112,8 @@ TEST(Equivalence, SingleMasterModelsAgreeTightly) {
   const SimResult t = run_tlm(w.config);
   const SimResult r = run_rtl(w.config);
   ASSERT_TRUE(t.finished && r.finished);
-  const double err =
-      std::abs(static_cast<double>(t.cycles) - static_cast<double>(r.cycles)) /
-      static_cast<double>(r.cycles);
-  EXPECT_LT(err, 0.12) << "tlm=" << t.cycles << " rtl=" << r.cycles;
+  EXPECT_LT(cycle_error(t, r), 0.12)
+      << "tlm=" << t.cycles << " rtl=" << r.cycles;
 }
 
 TEST(Equivalence, ProfilesAgreeOnWorkConserved) {

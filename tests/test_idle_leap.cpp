@@ -98,7 +98,8 @@ TEST(IdleLeap, CheckpointMidLeapRestoresBitExact) {
 
   core::Platform warm(cfg, core::ModelKind::kTlm);
   state::StateWriter w;
-  warm.checkpoint_at(5003, w);
+  warm.run(5003);
+  warm.save_state(w);
   ASSERT_EQ(warm.now(), 5003u);
   const auto bytes = w.finish();
 

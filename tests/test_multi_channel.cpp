@@ -8,11 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "core/compare.hpp"
 #include "core/platform.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/scenario.hpp"
@@ -24,12 +24,6 @@ using namespace ahbp;
 /// The Table-1 accuracy budget the repo already holds its models to
 /// (see test_bus_width.cpp / the CI sweep gates).
 constexpr double kMaxCycleError = 0.15;
-
-double cycle_error(const core::SimResult& tlm, const core::SimResult& rtl) {
-  return std::abs(static_cast<double>(tlm.cycles) -
-                  static_cast<double>(rtl.cycles)) /
-         static_cast<double>(rtl.cycles);
-}
 
 core::PlatformConfig preset(const std::string& name, unsigned items,
                             unsigned channels) {
@@ -60,7 +54,7 @@ TEST_P(MultiChannelEquivalence, ModelsAgreeAtEveryChannelCount) {
     // Identical stimulus retires identical work in both models.
     EXPECT_EQ(tlm.completed, rtl.completed)
         << name << " channels " << channels;
-    EXPECT_LT(cycle_error(tlm, rtl), kMaxCycleError)
+    EXPECT_LT(core::cycle_error(tlm, rtl), kMaxCycleError)
         << name << " channels " << channels << ": tlm=" << tlm.cycles
         << " rtl=" << rtl.cycles;
   }
@@ -163,7 +157,7 @@ TEST(MultiChannelOverrides, SlowerChannelShowsUpInTheProfile) {
   ASSERT_TRUE(tlm.finished && rtl.finished);
   EXPECT_EQ(tlm.protocol_errors, 0u) << tlm.first_violations;
   EXPECT_EQ(rtl.protocol_errors, 0u) << rtl.first_violations;
-  EXPECT_LT(cycle_error(tlm, rtl), kMaxCycleError)
+  EXPECT_LT(core::cycle_error(tlm, rtl), kMaxCycleError)
       << "tlm=" << tlm.cycles << " rtl=" << rtl.cycles;
 
   // The degraded platform is slower than the uniform one.

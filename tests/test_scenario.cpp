@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "scenario/registry.hpp"
 #include "scenario/scenario.hpp"
 #include "sweep/spec.hpp"
@@ -329,60 +333,69 @@ TEST(ScenarioRoundTrip, FieldsSurvive) {
   EXPECT_EQ(rt.max_cycles, 123456u);
 }
 
-TEST(ScenarioRoundTrip, CheckpointSectionSurvives) {
-  auto cfg = scenario::ScenarioRegistry::builtin().build("single-master");
-  cfg.checkpoint.at_cycle = 10'000;
-  cfg.checkpoint.path = "warm.ckpt";
-
-  const std::string text = scenario::serialize(cfg);
-  EXPECT_NE(text.find("[checkpoint]"), std::string::npos);
-  const auto rt = scenario::parse(text);
-  EXPECT_EQ(rt.checkpoint.at_cycle, 10'000u);
-  EXPECT_EQ(rt.checkpoint.path, "warm.ckpt");
-  EXPECT_TRUE(rt.checkpoint.enabled());
-  EXPECT_EQ(scenario::serialize(rt), text);
-
-  // Dotted overrides reach the section too (sweepable like any knob).
-  scenario::apply_key(cfg, "checkpoint.at_cycle", "500");
-  scenario::apply_key(cfg, "checkpoint.path", "other.ckpt");
-  EXPECT_EQ(cfg.checkpoint.at_cycle, 500u);
-  EXPECT_EQ(cfg.checkpoint.path, "other.ckpt");
-
-  // Absent section stays absent (canonical minimal form).
-  const auto plain = scenario::ScenarioRegistry::builtin().build("single-master");
-  EXPECT_EQ(scenario::serialize(plain).find("[checkpoint]"),
-            std::string::npos);
-  EXPECT_FALSE(scenario::parse(scenario::serialize(plain)).checkpoint.enabled());
-}
-
-TEST(ScenarioErrors, CheckpointBadKeysRejected) {
-  EXPECT_THROW(scenario::parse("[checkpoint]\nbogus = 1\n"),
-               scenario::ScenarioError);
-  EXPECT_THROW(scenario::parse("[checkpoint]\nat_cycle = nope\n"),
-               scenario::ScenarioError);
-}
-
-TEST(ScenarioErrors, SimSectionIsUnknown) {
-  // Idle leaping is always on, so the simulator-tuning section is gone:
-  // [sim] and every sim.* key, old ones included, fail as an unknown
-  // section, in a scenario file and as a dotted override.
-  const auto expect_unknown_sim = [](auto&& attempt, const char* what) {
+TEST(ScenarioErrors, RemovedSectionsAreUnknown) {
+  // Idle leaping is always on, so the simulator-tuning section is gone;
+  // snapshots are taken with `ahbp_sim checkpoint`, so the checkpoint
+  // section is gone too.  Both, and every key of theirs, fail as an
+  // unknown section, in a scenario file and as a dotted override.
+  const auto expect_unknown = [](auto&& attempt, const std::string& section,
+                                 const char* what) {
     try {
       attempt();
       ADD_FAILURE() << "accepted: " << what;
     } catch (const scenario::ScenarioError& e) {
-      EXPECT_NE(std::string(e.what()).find("unknown section 'sim'"),
+      EXPECT_NE(std::string(e.what()).find("unknown section '" + section +
+                                           "'"),
                 std::string::npos)
           << e.what();
     }
   };
   for (const char* text : {"[sim]\n", "[sim]\nddr_threads = 4\n"}) {
-    expect_unknown_sim([&] { scenario::parse(text); }, text);
+    expect_unknown([&] { scenario::parse(text); }, "sim", text);
+  }
+  for (const char* text :
+       {"[checkpoint]\n", "[checkpoint]\nat_cycle = 500\npath = w.ckpt\n"}) {
+    expect_unknown([&] { scenario::parse(text); }, "checkpoint", text);
   }
   auto cfg = scenario::ScenarioRegistry::builtin().build("single-master");
-  expect_unknown_sim(
-      [&] { scenario::apply_key(cfg, "sim.ddr_threads", "2"); },
-      "sim.ddr_threads");
+  expect_unknown([&] { scenario::apply_key(cfg, "sim.ddr_threads", "2"); },
+                 "sim", "sim.ddr_threads");
+  expect_unknown(
+      [&] { scenario::apply_key(cfg, "checkpoint.at_cycle", "500"); },
+      "checkpoint", "checkpoint.at_cycle");
+}
+
+TEST(ScenarioErrors, UnsignedKeysRejectValuesPast32Bits) {
+  // These four keys land in `unsigned` fields: a value past 2^32 - 1 must
+  // be rejected, not wrapped (items = 2^32 + 1 would run one transaction).
+  const std::vector<std::pair<std::string, std::string>> keys = {
+      {"bus", "write_buffer_depth"},
+      {"bus", "drain_watermark"},
+      {"master0", "items"},
+      {"master0", "dma_burst_beats"},
+  };
+  const auto expect_too_big = [](auto&& attempt, const std::string& what) {
+    try {
+      attempt();
+      ADD_FAILURE() << "accepted: " << what;
+    } catch (const scenario::ScenarioError& e) {
+      EXPECT_NE(std::string(e.what()).find("exceeds maximum"),
+                std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  auto cfg = scenario::ScenarioRegistry::builtin().build("single-master");
+  for (const auto& [section, key] : keys) {
+    const std::string dotted = section + "." + key;
+    const std::string text = "[master 0]\npattern = cpu\n" +
+                             std::string(section == "bus" ? "[bus]\n" : "") +
+                             key + " = 4294967297\n";
+    expect_too_big([&] { scenario::parse(text); }, text);
+    expect_too_big([&] { scenario::apply_key(cfg, dotted, "4294967296"); },
+                   dotted);
+    // The largest representable value still parses.
+    EXPECT_NO_THROW(scenario::apply_key(cfg, dotted, "4294967295")) << dotted;
+  }
 }
 
 // --------------------------------------------------- trace-backed masters --

@@ -75,22 +75,6 @@ TEST(ScenarioLint, UnknownKeyIsAParseFinding) {
   EXPECT_EQ(count_check(r, "scenario/parse"), 1u);
 }
 
-TEST(ScenarioLint, DeadCheckpointIsAWarningOnly) {
-  const LintReport r = ahbp::sweep::lint_text(
-      "[platform]\n"
-      "max_cycles = 100000\n"
-      "\n"
-      "[checkpoint]\n"
-      "at_cycle = 200000\n"
-      "path = never_written.ckpt\n"
-      "\n"
-      "[master 0]\n"
-      "pattern = cpu\n"
-      "items = 100\n");
-  EXPECT_TRUE(r.ok());  // warnings do not fail a plain lint
-  EXPECT_EQ(count_check(r, "checkpoint/dead"), 1u);
-}
-
 TEST(ScenarioLint, NarrowWindowOnMultiChannelMemoryWarns) {
   const LintReport r = ahbp::sweep::lint_text(
       "[platform]\n"

@@ -203,7 +203,10 @@ TEST(TraceReplay, CheckpointOfTraceDrivenRunSurvivesFileDeletion) {
     EXPECT_EQ(info.traces.size(), cfg.masters.size());
     core::PlatformConfig resumed_cfg = scenario::parse(info.scenario_text);
     core::apply_embedded_traces(resumed_cfg, info);
-    const core::SimResult resumed = core::run_from(resumed_cfg, model, r);
+    core::Platform fork(resumed_cfg, model);
+    fork.restore_state(r);
+    fork.run_to_completion();
+    const core::SimResult resumed = fork.result();
 
     EXPECT_EQ(resumed.finished, expect.finished);
     EXPECT_EQ(resumed.cycles, expect.cycles);
@@ -234,8 +237,10 @@ TEST(TraceReplay, PathlessTraceCheckpointIsResumable) {
   const core::CheckpointInfo info = core::read_checkpoint_header(r);
   core::PlatformConfig resumed_cfg = scenario::parse(info.scenario_text);
   core::apply_embedded_traces(resumed_cfg, info);
-  const core::SimResult resumed =
-      core::run_from(resumed_cfg, core::ModelKind::kTlm, r);
+  core::Platform fork(resumed_cfg, core::ModelKind::kTlm);
+  fork.restore_state(r);
+  fork.run_to_completion();
+  const core::SimResult resumed = fork.result();
   EXPECT_EQ(resumed.cycles, orig.cycles);
   EXPECT_EQ(resumed.completed, orig.completed);
 }
@@ -376,7 +381,10 @@ TEST(TraceReplay, BinaryTraceCheckpointSurvivesFileDeletion) {
     }
     core::PlatformConfig resumed_cfg = scenario::parse(info.scenario_text);
     core::apply_embedded_traces(resumed_cfg, info);
-    const core::SimResult resumed = core::run_from(resumed_cfg, model, r);
+    core::Platform fork(resumed_cfg, model);
+    fork.restore_state(r);
+    fork.run_to_completion();
+    const core::SimResult resumed = fork.result();
 
     EXPECT_EQ(resumed.finished, expect.finished);
     EXPECT_EQ(resumed.cycles, expect.cycles);

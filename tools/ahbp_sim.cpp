@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "core/compare.hpp"
 #include "core/platform.hpp"
 #include "obs/selfprof.hpp"
 #include "obs/timeline.hpp"
@@ -75,11 +76,6 @@ int usage(std::ostream& os, int code) {
         "                            greppable) or bin (seekable, ~10x"
         " faster\n"
         "                            to load; replay auto-detects either)\n"
-        "      --register NAME       capture into the captures/ registry:\n"
-        "                            traces + replay scenario land under\n"
-        "                            captures/NAME/ and 'ahbp_sim run\n"
-        "                            workload/NAME' replays them (implies\n"
-        "                            --capture-trace; single model only)\n"
         "      --csv                 machine-readable per-master report\n"
         "      --quiet               summary line only\n"
         "      --timeline FILE       write a Chrome-trace-event timeline\n"
@@ -92,10 +88,8 @@ int usage(std::ostream& os, int code) {
         "                            clock went (per kernel component)\n"
         "  checkpoint <scenario>     run to a cycle and snapshot the"
         " platform\n"
-        "      --at N                bus cycle to checkpoint at (or the\n"
-        "                            scenario's [checkpoint] at_cycle)\n"
-        "      --out FILE            checkpoint file (or [checkpoint]"
-        " path)\n"
+        "      --at N                bus cycle to checkpoint at\n"
+        "      --out FILE            checkpoint file\n"
         "      --model tlm|rtl       model to snapshot (default tlm)\n"
         "      --items N / --seed S  as for run\n"
         "  resume <checkpoint>       restore a checkpoint and run to"
@@ -147,11 +141,9 @@ int usage(std::ostream& os, int code) {
         " format)\n"
         "\n"
         "<scenario> is a built-in name (see list) or a scenario file path.\n"
-        "A scenario [checkpoint] section (at_cycle, path) makes 'run'"
-        " snapshot\n"
-        "mid-flight and keep going.  A master with 'pattern = trace' and\n"
-        "'trace = FILE' replays a recorded transaction stream; run, sweep,\n"
-        "checkpoint and resume all accept trace-driven scenarios.\n";
+        "A master with 'pattern = trace' and 'trace = FILE' replays a\n"
+        "recorded transaction stream; run, sweep, checkpoint and resume all\n"
+        "accept trace-driven scenarios.\n";
   return code;
 }
 
@@ -176,20 +168,21 @@ void print_run(const core::SimResult& r, bool csv, bool quiet) {
   std::cout << "\n";
 }
 
-/// Run `p` up to `at_cycle`, write the self-describing checkpoint to
-/// `path`, and report — warning when max_cycles stopped the run short of
-/// the requested cycle (the snapshot is then taken earlier than asked).
-void run_to_checkpoint(core::Platform& p, const core::PlatformConfig& cfg,
-                       sim::Cycle at_cycle, const std::string& path) {
-  p.run(at_cycle > p.now() ? at_cycle - p.now() : 0);
-  core::write_checkpoint_file(path, p, scenario::serialize(cfg));
-  std::cout << "checkpoint written to " << path << " at cycle " << p.now()
-            << " (" << core::to_string(p.model()) << ", "
-            << (p.finished() ? "workload already drained" : "mid-run")
-            << ")\n";
-  if (p.now() < at_cycle && !p.finished()) {
-    std::cerr << "note: max_cycles (" << cfg.max_cycles
-              << ") stopped the run before cycle " << at_cycle << "\n";
+/// Write `script` to `path` in `format` ("text" or "bin").
+void write_trace_file(const std::string& path, const std::string& format,
+                      const traffic::Script& script) {
+  std::ofstream os(path,
+                   format == "bin" ? std::ios::binary : std::ios::out);
+  if (!os) {
+    throw std::runtime_error("cannot open '" + path + "' for writing");
+  }
+  if (format == "bin") {
+    traffic::save_trace_bin(os, script);
+  } else {
+    traffic::save_trace(os, script);
+  }
+  if (!os) {
+    throw std::runtime_error("error writing '" + path + "'");
   }
 }
 
@@ -202,22 +195,12 @@ void write_capture_dir(const core::Platform& p,
                        const std::string& dir, const std::string& format) {
   namespace fs = std::filesystem;
   fs::create_directories(dir);
-  const bool bin = format == "bin";
   core::PlatformConfig replay = cfg;
   for (std::size_t m = 0; m < cfg.masters.size(); ++m) {
     const std::string path =
         (fs::path(dir) / ("master" + std::to_string(m) + ".trace")).string();
-    std::ofstream os(path, bin ? std::ios::binary : std::ios::out);
-    if (!os) {
-      throw std::runtime_error("cannot open '" + path + "' for writing");
-    }
-    const traffic::Script& captured =
-        p.capture(static_cast<ahb::MasterId>(m)).captured();
-    if (bin) {
-      traffic::save_trace_bin(os, captured);
-    } else {
-      traffic::save_trace(os, captured);
-    }
+    write_trace_file(path, format,
+                     p.capture(static_cast<ahb::MasterId>(m)).captured());
     traffic::StimulusSpec& spec = replay.masters[m].traffic;
     spec.source = traffic::StimulusSource::kTrace;
     spec.trace_path = path;
@@ -234,15 +217,14 @@ void write_capture_dir(const core::Platform& p,
             << " [--model tlm|rtl|both]\n";
 }
 
-/// One model's share of `run`: checkpoint mid-flight when the scenario
-/// asks for it, capture when requested, then run to completion.  `tl` and
-/// `sp` may be shared between both models of a `--model both` run (each
-/// model registers its own timeline process / "tlm."-vs-"rtl." phases).
+/// One model's share of `run`: capture when requested, then run to
+/// completion.  `tl` and `sp` may be shared between both models of a
+/// `--model both` run (each model registers its own timeline process /
+/// "tlm."-vs-"rtl." phases).
 core::SimResult run_model(const core::PlatformConfig& cfg,
                           core::ModelKind kind, std::ostream* vcd_os,
                           const std::string& capture_dir,
                           const std::string& capture_format,
-                          const std::string& checkpoint_path,
                           obs::Timeline* tl, obs::SelfProfiler* sp,
                           bool progress) {
   core::Platform p(cfg, kind);
@@ -260,9 +242,6 @@ core::SimResult run_model(const core::PlatformConfig& cfg,
   }
   if (progress) {
     p.set_progress(&std::cerr);
-  }
-  if (cfg.checkpoint.enabled()) {
-    run_to_checkpoint(p, cfg, cfg.checkpoint.at_cycle, checkpoint_path);
   }
   p.run_to_completion();
   if (tl != nullptr) {
@@ -303,24 +282,6 @@ int cmd_list() {
   std::cout << "\nTable-1 rows also answer to letter aliases"
                " (table1/cpu-a == table1/cpu-1).\n";
 
-  // Registered captures: anything `run --register NAME` installed under
-  // captures/ in the current directory answers to `run workload/NAME`.
-  namespace fs = std::filesystem;
-  std::vector<std::string> workloads;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator("captures", ec)) {
-    if (entry.is_directory() &&
-        fs::exists(entry.path() / "replay.scenario")) {
-      workloads.push_back(entry.path().filename().string());
-    }
-  }
-  if (!workloads.empty()) {
-    std::sort(workloads.begin(), workloads.end());
-    std::cout << "\nregistered workloads (captures/ in this directory):\n";
-    for (const std::string& w : workloads) {
-      std::cout << "  workload/" << w << "\n";
-    }
-  }
   return 0;
 }
 
@@ -331,8 +292,8 @@ int cmd_show(const std::string& name) {
 
 int cmd_run(const std::string& name, const std::string& model_s,
             unsigned items, std::uint64_t seed, const std::string& vcd_path,
-            std::string capture_dir, const std::string& capture_format,
-            const std::string& register_name, bool csv, bool quiet,
+            const std::string& capture_dir, const std::string& capture_format,
+            bool csv, bool quiet,
             const std::string& timeline_path,
             const std::string& stats_json_path, bool progress,
             bool self_profile) {
@@ -340,24 +301,6 @@ int cmd_run(const std::string& name, const std::string& model_s,
   if (!sweep::model_from_string(model_s, model)) {
     std::cerr << "unknown model '" << model_s << "' (tlm, rtl, both)\n";
     return 2;
-  }
-  if (!register_name.empty()) {
-    // A registered workload is just a capture installed at the well-known
-    // path `run workload/NAME` resolves (scenario/registry.cpp).
-    if (!capture_dir.empty()) {
-      std::cerr << "--register picks the capture destination itself"
-                   " (captures/" << register_name << "); drop"
-                   " --capture-trace\n";
-      return 2;
-    }
-    if (register_name.find('/') != std::string::npos ||
-        register_name.find("..") != std::string::npos ||
-        register_name[0] == '-') {
-      std::cerr << "--register needs a plain name (no '/', '..' or leading"
-                   " '-'), got '" << register_name << "'\n";
-      return 2;
-    }
-    capture_dir = "captures/" + register_name;
   }
   const core::PlatformConfig cfg = scenario::load_scenario(name, items, seed);
   if (cfg.masters.empty()) {
@@ -380,10 +323,9 @@ int cmd_run(const std::string& name, const std::string& model_s,
     return 2;
   }
 
-  // A scenario [checkpoint] section makes the run snapshot mid-flight and
-  // continue; resume later picks the snapshot up.  The timeline and the
-  // self-profiler are shared across models: one trace file with a "tlm"
-  // and an "rtl" process, one phase table with both prefixes.
+  // The timeline and the self-profiler are shared across models: one
+  // trace file with a "tlm" and an "rtl" process, one phase table with
+  // both prefixes.
   obs::Timeline timeline;
   obs::Timeline* tl = timeline_path.empty() ? nullptr : &timeline;
   obs::SelfProfiler profiler;
@@ -393,7 +335,7 @@ int cmd_run(const std::string& name, const std::string& model_s,
   bool ran_tlm = false, ran_rtl = false;
   if (model != sweep::Model::kRtl) {
     tlm = run_model(cfg, core::ModelKind::kTlm, nullptr, capture_dir,
-                    capture_format, cfg.checkpoint.path, tl, sp, progress);
+                    capture_format, tl, sp, progress);
     ran_tlm = true;
     print_run(tlm, csv, quiet);
   }
@@ -408,12 +350,8 @@ int cmd_run(const std::string& name, const std::string& model_s,
       }
       vcd_os = &vcd;
     }
-    // Both models run from one scenario; keep their snapshots apart.
-    const std::string ckpt_path = model == sweep::Model::kBoth
-                                      ? cfg.checkpoint.path + ".rtl"
-                                      : cfg.checkpoint.path;
     rtl = run_model(cfg, core::ModelKind::kRtl, vcd_os, capture_dir,
-                    capture_format, ckpt_path, tl, sp, progress);
+                    capture_format, tl, sp, progress);
     ran_rtl = true;
     print_run(rtl, csv, quiet);
     if (vcd_os != nullptr) {
@@ -457,16 +395,11 @@ int cmd_run(const std::string& name, const std::string& model_s,
   if (ran_tlm && ran_rtl && rtl.cycles != 0) {
     std::cout << "tlm vs rtl: " << tlm.cycles << " vs " << rtl.cycles
               << " cycles, error "
-              << stats::fmt_percent(sweep::cycle_error(tlm, rtl)) << "\n";
+              << stats::fmt_percent(core::cycle_error(tlm, rtl)) << "\n";
   }
 
   const bool ok = (!ran_tlm || (tlm.finished && tlm.protocol_errors == 0)) &&
                   (!ran_rtl || (rtl.finished && rtl.protocol_errors == 0));
-  if (ok && !register_name.empty()) {
-    std::cout << "registered workload '" << register_name
-              << "': replay with `ahbp_sim run workload/" << register_name
-              << "`\n";
-  }
   return ok ? 0 : 1;
 }
 
@@ -484,16 +417,24 @@ int cmd_checkpoint(const std::string& name, const std::string& model_s,
     std::cerr << "scenario '" << name << "' defines no masters\n";
     return 2;
   }
-  const sim::Cycle at_cycle = at != 0 ? at : cfg.checkpoint.at_cycle;
-  const std::string path = !out.empty() ? out : cfg.checkpoint.path;
-  if (at_cycle == 0 || path.empty()) {
-    std::cerr << "checkpoint needs --at N and --out FILE (or a scenario"
-                 " [checkpoint] section)\n";
+  if (at == 0 || out.empty()) {
+    std::cerr << "checkpoint needs --at N and --out FILE\n";
     return 2;
   }
 
   core::Platform p(cfg, model);
-  run_to_checkpoint(p, cfg, at_cycle, path);
+  p.run(at);
+  core::write_checkpoint_file(out, p, scenario::serialize(cfg));
+  std::cout << "checkpoint written to " << out << " at cycle " << p.now()
+            << " (" << core::to_string(model) << ", "
+            << (p.finished() ? "workload already drained" : "mid-run")
+            << ")\n";
+  // max_cycles can stop the run short: the snapshot is then taken earlier
+  // than asked.
+  if (p.now() < at && !p.finished()) {
+    std::cerr << "note: max_cycles (" << cfg.max_cycles
+              << ") stopped the run before cycle " << at << "\n";
+  }
   return 0;
 }
 
@@ -641,24 +582,6 @@ traffic::Script load_any_trace(std::string_view bytes) {
   return traffic::load_trace(is, 0);
 }
 
-/// Write `script` to `path` in `format` ("text" or "bin").
-void write_trace_file(const std::string& path, const std::string& format,
-                      const traffic::Script& script) {
-  std::ofstream os(path,
-                   format == "bin" ? std::ios::binary : std::ios::out);
-  if (!os) {
-    throw std::runtime_error("cannot open '" + path + "' for writing");
-  }
-  if (format == "bin") {
-    traffic::save_trace_bin(os, script);
-  } else {
-    traffic::save_trace(os, script);
-  }
-  if (!os) {
-    throw std::runtime_error("error writing '" + path + "'");
-  }
-}
-
 int cmd_trace(const std::string& action, const std::string& path,
               const std::string& out_path, std::string to_format,
               std::uint64_t first, std::uint64_t count) {
@@ -801,7 +724,6 @@ int main(int argc, char** argv) {
   std::uint64_t first = 0;                    // trace slice --first N
   std::uint64_t count = ~std::uint64_t{0};    // trace slice --count K
   unsigned jobs = 1;
-  std::string register_name;   // run --register NAME
   bool csv = false, quiet = false, speed = false;
   bool progress = false, self_profile = false, strict = false;
   bool sensitivity = false;    // sweep --sensitivity
@@ -887,13 +809,6 @@ int main(int argc, char** argv) {
       warmup_cycles = need_unsigned(i, ~std::uint64_t{0});
     } else if (a == "--jobs") {
       jobs = static_cast<unsigned>(need_unsigned(i, 4096));
-    } else if (a == "--register") {
-      register_name = need_value(i);
-      if (register_name.empty() || register_name[0] == '-') {
-        std::cerr << "--register needs a workload name, got '"
-                  << register_name << "'\n";
-        return 2;
-      }
     } else if (a == "--sensitivity") {
       sensitivity = true;
     } else if (a == "--max-cycle-error") {
@@ -1001,13 +916,13 @@ int main(int argc, char** argv) {
     }
     if (cmd == "run") {
       if (!check_options({"--model", "--items", "--seed", "--vcd",
-                          "--capture-trace", "--trace-format", "--register",
-                          "--csv", "--quiet", "--timeline", "--stats-json",
+                          "--capture-trace", "--trace-format", "--csv",
+                          "--quiet", "--timeline", "--stats-json",
                           "--progress", "--self-profile"})) {
         return 2;
       }
       return cmd_run(positional, model, items, seed, vcd_path, capture_dir,
-                     capture_format, register_name, csv, quiet,
+                     capture_format, csv, quiet,
                      timeline_path, stats_json_path, progress, self_profile);
     }
     if (cmd == "trace") {
