@@ -38,7 +38,6 @@ int main(int argc, char** argv) {
   sim::Cycle cycles_off = 0, cycles_deep = 0;
   for (const unsigned depth : {0u, 1u, 2u, 4u, 8u, 16u}) {
     auto cfg = base;
-    cfg.bus.write_buffer_enabled = depth > 0;
     cfg.bus.write_buffer_depth = depth;
     const auto r = core::run_tlm(cfg);
     // Aggregate write latency over all masters.

@@ -16,7 +16,7 @@ int main() {
   using namespace ahbp;
   const auto t0 = std::chrono::steady_clock::now();
 
-  stats::TextTable t({"wbuf depth", "bank filter", "pipelining", "cycles",
+  stats::TextTable t({"wbuf depth", "bank filter", "BI hints", "cycles",
                       "util", "RT misses"});
 
   struct Best {
@@ -26,22 +26,21 @@ int main() {
 
   for (const unsigned depth : {0u, 2u, 4u, 8u}) {
     for (const bool bank : {false, true}) {
-      for (const bool pipe : {false, true}) {
+      for (const bool bi : {false, true}) {
         auto cfg = core::table1_workloads(200, 99)[8].config;  // rt-1 mix
-        cfg.bus.write_buffer_enabled = depth > 0;
         cfg.bus.write_buffer_depth = depth;
-        cfg.bus.request_pipelining = pipe;
+        cfg.bus.bi_hints_enabled = bi;
         cfg.bus.filter_mask = ahb::with_filter(
             ahb::kAllFilters, ahb::FilterBit::kBank, bank);
         const auto r = core::run_tlm(cfg);
         const std::string name = "depth=" + std::to_string(depth) +
                                  " bank=" + (bank ? "on" : "off") +
-                                 " pipe=" + (pipe ? "on" : "off");
+                                 " bi=" + (bi ? "on" : "off");
         if (r.cycles < best.cycles) {
           best = {r.cycles, name};
         }
         t.add_row({depth == 0 ? "off" : std::to_string(depth),
-                   bank ? "on" : "off", pipe ? "on" : "off",
+                   bank ? "on" : "off", bi ? "on" : "off",
                    std::to_string(r.cycles),
                    stats::fmt_percent(r.profile.bus.utilization()),
                    std::to_string(r.profile.masters[0].qos_misses)});

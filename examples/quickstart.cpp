@@ -31,11 +31,10 @@ int main() {
   cfg.masters[2].traffic.kind = traffic::PatternKind::kCpu;
   cfg.masters[3].traffic.kind = traffic::PatternKind::kCpu;
 
-  // AHB+ knobs (§3.7): all seven filters, 4-deep write buffer, request
-  // pipelining and BI bank hints — the defaults; shown for discoverability.
+  // AHB+ knobs (§3.7): all seven filters, 4-deep write buffer and BI bank
+  // hints — the defaults; shown for discoverability.
   cfg.bus.filter_mask = ahb::kAllFilters;
   cfg.bus.write_buffer_depth = 4;
-  cfg.bus.request_pipelining = true;
   cfg.bus.bi_hints_enabled = true;
 
   std::cout << "running the AHB+ TLM...\n\n";

@@ -8,7 +8,9 @@
 /// \file config.hpp
 /// Structural parameters of the AHB+ bus (§3.7 "Flexibility and
 /// Reusability": bus width, write buffer depth & on/off, arbitration
-/// algorithm on/off, RT/NRT type, QoS value).
+/// algorithm on/off, RT/NRT type, QoS value).  Every field means the same
+/// thing in the TLM and the signal-level model; request pipelining (§2) is
+/// always on in both.
 
 namespace ahbp::ahb {
 
@@ -44,12 +46,10 @@ struct BusConfig {
   unsigned data_width_bytes = 4;   ///< HWDATA/HRDATA width (4 = AHB 32-bit)
   std::uint8_t filter_mask = kAllFilters;
 
-  bool write_buffer_enabled = true;
-  unsigned write_buffer_depth = 4; ///< entries (whole transactions)
-
-  /// Request pipelining (§2): overlap arbitration of the next request with
-  /// the current data phase.  Off forces grant-after-completion.
-  bool request_pipelining = true;
+  /// Write buffer depth in entries (whole transactions); 0 = no buffer.
+  /// While occupied the buffer requests the bus as a pseudo-master; its
+  /// urgency escalates when full.
+  unsigned write_buffer_depth = 4;
 
   /// Bank interleaving via the BI next-transaction hint (§2, §3.4).
   bool bi_hints_enabled = true;
@@ -57,17 +57,6 @@ struct BusConfig {
   /// Urgency threshold: an RT master becomes "urgent" when its slack drops
   /// below this many cycles (filter 3).
   std::uint32_t urgency_slack_threshold = 8;
-
-  /// Write-buffer drain policy: buffer requests the bus when it holds at
-  /// least `drain_watermark` entries, or unconditionally when the bus is
-  /// idle.  Its urgency escalates when full.
-  unsigned drain_watermark = 1;
-
-  /// TLM timing calibration (§3.4 "we defined the timings of each
-  /// transaction function"): cycles between the grant decision and the
-  /// first address phase, modeling the registered HGRANT + mux handover +
-  /// NONSEQ launch of the pin-level fabric.
-  sim::Cycle tlm_grant_to_start = 3;
 };
 
 }  // namespace ahbp::ahb

@@ -183,11 +183,11 @@ void BusChecker::check_burst(const BusCycleView& v) {
 }
 
 void BusChecker::check_wbuf(const BusCycleView& v) {
-  const unsigned depth = cfg_.write_buffer_enabled ? cfg_.write_buffer_depth : 0;
-  if (v.wbuf_occupancy > depth) {
+  if (v.wbuf_occupancy > cfg_.write_buffer_depth) {
     log_.record(Severity::kError, v.cycle, "ahbp.wbuf-depth",
                 "write buffer holds " + std::to_string(v.wbuf_occupancy) +
-                    " entries, depth is " + std::to_string(depth));
+                    " entries, depth is " +
+                    std::to_string(cfg_.write_buffer_depth));
   }
 }
 

@@ -45,8 +45,7 @@ struct BusCycleView {
 /// Configuration the checkers need about the platform.
 struct CheckerConfig {
   unsigned masters = 0;            ///< real masters (pseudo-master excluded)
-  unsigned write_buffer_depth = 0;
-  bool write_buffer_enabled = false;
+  unsigned write_buffer_depth = 0;  ///< 0 = no write buffer
   /// HWDATA/HRDATA width in bytes; 0 disables the width rule (legacy
   /// checker instantiations that predate the configurable datapath).
   unsigned bus_width_bytes = 0;

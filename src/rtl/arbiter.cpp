@@ -137,7 +137,6 @@ void RtlArbiter::do_handover(sim::Cycle now) {
   owner_addr_accepted_ = 0;
   owner_locked_ = pending_txn_.locked;
   pending_ = false;
-  ++handovers_;
 }
 
 void RtlArbiter::do_arbitration(sim::Cycle now) {
@@ -211,6 +210,9 @@ void RtlArbiter::do_arbitration(sim::Cycle now) {
   }
   pending_ = true;
   pending_master_ = grant->master;
+  if (grant->handover) {
+    ++handovers_;
+  }
   if (grant->is_wbuf) {
     wbuf_.note_grant();
     pending_txn_ = ahb::Transaction{};
@@ -234,7 +236,7 @@ void RtlArbiter::do_arbitration(sim::Cycle now) {
 
 void RtlArbiter::do_takes(sim::Cycle now) {
   (void)now;  // takes are decided on sampled wires; kept for symmetry
-  if (!cfg_.write_buffer_enabled) {
+  if (!wbuf_.fifo().enabled()) {
     return;
   }
   for (unsigned m = 0; m < masters_; ++m) {

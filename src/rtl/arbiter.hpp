@@ -48,7 +48,7 @@ class RtlArbiter {
 
   std::uint64_t grants() const noexcept { return arbiter_.grants(); }
 
-  /// Grant/handover counters for the bus profile.
+  /// Grants flagged as handovers by the shared arbiter.
   std::uint64_t handovers() const noexcept { return handovers_; }
 
   /// One-line diagnostic state summary.

@@ -96,9 +96,9 @@ RtlFabric::RtlFabric(const core::PlatformConfig& cfg,
 
   if (cfg.enable_checkers) {
     checker_ = std::make_unique<chk::BusChecker>(
-        chk::CheckerConfig{masters_, bus_.write_buffer_depth,
-                           bus_.write_buffer_enabled,
-                           bus_.data_width_bytes},
+        chk::CheckerConfig{.masters = masters_,
+                           .write_buffer_depth = bus_.write_buffer_depth,
+                           .bus_width_bytes = bus_.data_width_bytes},
         log_);
   }
   clock_.signal().subscribe(observer_, sim::Edge::kPos);
@@ -213,7 +213,7 @@ void RtlFabric::observe_edge() {
         c = obs::StallClass::kRunning;
         break;
       case RtlMaster::State::kRequest:
-        if (bus_.write_buffer_enabled &&
+        if (wbuf_->fifo().enabled() &&
             rtl_masters_[m]->pending_txn().dir == ahb::Dir::kWrite &&
             !wbuf_->can_reserve()) {
           c = obs::StallClass::kWbufFull;
@@ -247,7 +247,7 @@ void RtlFabric::observe_edge() {
       tl_->end(tl_bus_track_, cycle_);
     }
     const unsigned occ = sh_.wbuf_occupancy.read();
-    if (bus_.write_buffer_enabled && occ != tl_last_occ_) {
+    if (wbuf_->fifo().enabled() && occ != tl_last_occ_) {
       tl_last_occ_ = occ;
       tl_->counter(tl_wbuf_track_, cycle_, "occupancy", occ);
     }

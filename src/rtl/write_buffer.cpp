@@ -9,14 +9,12 @@ RtlWriteBuffer::RtlWriteBuffer(sim::EventKernel& kernel,
                                SharedWires& shared, MasterWires& column,
                                std::vector<MasterWires*> master_wires,
                                const sim::Cycle* now)
-    : cfg_(cfg),
-      masters_(masters),
+    : masters_(masters),
       sh_(shared),
       col_(column),
       mw_(std::move(master_wires)),
       now_(now),
-      fifo_(cfg.write_buffer_depth, cfg.drain_watermark,
-            cfg.write_buffer_enabled),
+      fifo_(cfg.write_buffer_depth),
       staging_(masters),
       proc_(kernel, "rtl-wbuf", [this] { at_edge(); }) {}
 

@@ -95,7 +95,6 @@ class RtlWriteBuffer {
   void drain_fsm(sim::Cycle now);
   bool staging_full() const noexcept;
 
-  const ahb::BusConfig& cfg_;
   unsigned masters_;
   SharedWires& sh_;
   MasterWires& col_;  ///< the write buffer's own bus column

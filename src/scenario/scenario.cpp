@@ -139,23 +139,14 @@ void apply_bus(core::PlatformConfig& cfg, std::string_view key,
   } else if (key == "filter_mask") {
     b.filter_mask =
         static_cast<std::uint8_t>(parse_u64_max(value, 0x7F, line));
-  } else if (key == "write_buffer") {
-    b.write_buffer_enabled = parse_bool(value, line);
   } else if (key == "write_buffer_depth") {
     b.write_buffer_depth =
         static_cast<unsigned>(parse_u64_max(value, kUnsignedMax, line));
-  } else if (key == "request_pipelining") {
-    b.request_pipelining = parse_bool(value, line);
   } else if (key == "bi_hints") {
     b.bi_hints_enabled = parse_bool(value, line);
   } else if (key == "urgency_slack_threshold") {
     b.urgency_slack_threshold =
         static_cast<std::uint32_t>(parse_u64_max(value, ~std::uint32_t{0}, line));
-  } else if (key == "drain_watermark") {
-    b.drain_watermark =
-        static_cast<unsigned>(parse_u64_max(value, kUnsignedMax, line));
-  } else if (key == "grant_to_start") {
-    b.tlm_grant_to_start = parse_u64(value, line);
   } else {
     throw ScenarioError("unknown [bus] key '" + std::string(key) + "'", line);
   }
@@ -546,13 +537,9 @@ std::string serialize(const core::PlatformConfig& cfg) {
   os << "\n[bus]\n";
   os << "data_width_bytes = " << b.data_width_bytes << "\n";
   os << "filter_mask = " << fmt_hex(b.filter_mask) << "\n";
-  os << "write_buffer = " << onoff(b.write_buffer_enabled) << "\n";
   os << "write_buffer_depth = " << b.write_buffer_depth << "\n";
-  os << "request_pipelining = " << onoff(b.request_pipelining) << "\n";
   os << "bi_hints = " << onoff(b.bi_hints_enabled) << "\n";
   os << "urgency_slack_threshold = " << b.urgency_slack_threshold << "\n";
-  os << "drain_watermark = " << b.drain_watermark << "\n";
-  os << "grant_to_start = " << b.tlm_grant_to_start << "\n";
 
   const ddr::DdrTiming& t = cfg.timing;
   const ddr::Geometry& g = cfg.geom;

@@ -58,7 +58,9 @@ struct BusProfile {
   sim::Cycle contention_cycles = 0; ///< >1 request pending in one cycle
   sim::Cycle wait_cycles = 0;       ///< >=1 request pending but bus stalled
   std::uint64_t grants = 0;
-  std::uint64_t handovers = 0;      ///< grant moved to a different master
+  /// Grants whose master (write buffer included) differs from the
+  /// previous grant's; the first grant of a run is not a handover.
+  std::uint64_t handovers = 0;
   std::uint64_t bytes = 0;
 
   /// Fraction of cycles the bus moved or addressed data.

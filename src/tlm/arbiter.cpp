@@ -285,6 +285,7 @@ std::optional<Arbiter::Grant> Arbiter::arbitrate(ArbContext& ctx) {
   Grant g;
   g.master = *winner;
   g.is_wbuf = *winner >= ctx.masters;
+  g.handover = last_grant_ != ahb::kNoMaster && last_grant_ != *winner;
   last_grant_ = *winner;
   ++grants_;
   if (!g.is_wbuf) {

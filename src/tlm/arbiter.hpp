@@ -125,6 +125,9 @@ class Arbiter {
     ahb::MasterId master = ahb::kNoMaster;
     sim::Cycle waited = 0;
     bool is_wbuf = false;
+    /// The winner differs from the previous grant's master (write buffer
+    /// included); the first grant of a run is not a handover.
+    bool handover = false;
   };
   std::optional<Grant> arbitrate(ArbContext& ctx);
 

@@ -30,8 +30,7 @@ AhbPlusBus::AhbPlusBus(const ahb::BusConfig& cfg, ahb::QosRegisterFile& qos,
       ddrc_(ddrc),
       masters_(masters),
       arbiter_(cfg_, qos),
-      wbuf_(cfg.write_buffer_depth, cfg.drain_watermark,
-            cfg.write_buffer_enabled),
+      wbuf_(cfg.write_buffer_depth),
       slots_(masters),
       master_profiles_(masters) {
   AHBP_ASSERT_MSG(masters >= 1 && masters <= 30,
@@ -46,8 +45,9 @@ AhbPlusBus::AhbPlusBus(const ahb::BusConfig& cfg, ahb::QosRegisterFile& qos,
   }
   if (checker_log != nullptr) {
     checker_.emplace(
-        chk::CheckerConfig{masters, cfg.write_buffer_depth,
-                           cfg.write_buffer_enabled, cfg.data_width_bytes},
+        chk::CheckerConfig{.masters = masters,
+                           .write_buffer_depth = cfg.write_buffer_depth,
+                           .bus_width_bytes = cfg.data_width_bytes},
         *checker_log);
     qos_checker_.emplace(qos_, *checker_log);
   }
@@ -271,9 +271,7 @@ void AhbPlusBus::do_begin(sim::Cycle now) {
   if (!granted_ || inflight_active_ || ddrc_.busy()) {
     return;
   }
-  // Calibrated grant-to-address latency: models the registered HGRANT,
-  // HMASTER mux handover and NONSEQ launch of the pin-level fabric.
-  if (now < granted_cycle_ + cfg_.tlm_grant_to_start) {
+  if (now < granted_cycle_ + kGrantToStart) {
     return;
   }
   // Rebuild the in-flight record in place (beat buffers keep capacity).
@@ -367,11 +365,8 @@ void AhbPlusBus::do_arbitration(sim::Cycle now) {
     return;  // a grant is already waiting to begin
   }
   // Request pipelining (§2): overlap the next arbitration with the tail of
-  // the current transfer.  Without it, arbitrate only on an idle bus.
+  // the current transfer.
   if (inflight_active_) {
-    if (!cfg_.request_pipelining) {
-      return;
-    }
     const unsigned remaining = inflight_.txn.beats - inflight_.beat;
     if (remaining > 2) {
       return;
@@ -452,7 +447,7 @@ void AhbPlusBus::do_arbitration(sim::Cycle now) {
                      : "grant " + master_profiles_[grant->master].name);
   }
   ++bus_profile_.grants;
-  if (!inflight_active_ || inflight_.owner != grant->master) {
+  if (grant->handover) {
     ++bus_profile_.handovers;
   }
   if (!grant->is_wbuf) {

@@ -31,8 +31,8 @@
 ///
 /// ## Cycle pipeline inside evaluate(now)
 ///
-///  1. begin: a granted transaction starts its address phase (1 cycle after
-///     its grant, matching the registered HGRANT of the RTL design);
+///  1. begin: a granted transaction starts its address phase kGrantToStart
+///     cycles after its grant (the RTL design's registered HGRANT);
 ///  2. BI exchange: next-transaction hint down, bank status up (§3.4);
 ///  3. DDRC step (one DRAM command);
 ///  4. one data beat moves (read or write) when the DDRC allows;
@@ -43,6 +43,12 @@
 ///  8. profiling sample + protocol-checker view (§3.5, §3.6).
 
 namespace ahbp::tlm {
+
+/// TLM timing calibration (§3.4 "we defined the timings of each transaction
+/// function"): cycles between the grant decision and the first address
+/// phase, modeling the registered HGRANT + HMASTER mux handover + NONSEQ
+/// launch of the pin-level fabric.
+inline constexpr sim::Cycle kGrantToStart = 3;
 
 /// Result of a master's grant poll.
 enum class GrantPoll : std::uint8_t {

@@ -8,7 +8,7 @@ bool WriteBuffer::absorb(const ahb::Transaction& t, sim::Cycle now) {
   (void)now;
   AHBP_ASSERT_MSG(t.dir == ahb::Dir::kWrite,
                   "write buffer can only absorb writes");
-  if (!enabled_ || full()) {
+  if (full()) {
     return false;
   }
   fifo_.push_back(t);
@@ -70,7 +70,7 @@ void WriteBuffer::restore_state(state::StateReader& r) {
   urgent_ = r.get_bool();
   fifo_.clear();
   const std::uint64_t n = r.get_count();
-  if (n != 0 && !enabled_) {
+  if (n != 0 && !enabled()) {
     throw state::StateError(
         "WriteBuffer: snapshot holds " + std::to_string(n) +
         " buffered writes but the restore platform disables the buffer");

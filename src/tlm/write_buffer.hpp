@@ -17,8 +17,7 @@
 /// Semantics implemented identically in both models:
 ///  * a write that loses arbitration is absorbed if space remains; the
 ///    issuing master observes completion immediately (posted write);
-///  * while occupied at or above the drain watermark — or when flagged
-///    urgent — the buffer raises its own bus request (pseudo-master);
+///  * while occupied the buffer raises its own bus request (pseudo-master);
 ///  * a read overlapping any buffered write's address range flags the
 ///    buffer urgent, and the arbiter holds that read back until the
 ///    overlapping writes drain (strict read-after-write ordering).
@@ -27,11 +26,10 @@ namespace ahbp::tlm {
 
 class WriteBuffer {
  public:
-  WriteBuffer(unsigned depth, unsigned watermark, bool enabled)
-      : depth_(enabled ? depth : 0), watermark_(watermark == 0 ? 1 : watermark),
-        enabled_(enabled && depth > 0) {}
+  /// Depth 0 is no buffer: it absorbs nothing and never requests.
+  explicit WriteBuffer(unsigned depth) : depth_(depth) {}
 
-  bool enabled() const noexcept { return enabled_; }
+  bool enabled() const noexcept { return depth_ > 0; }
   unsigned depth() const noexcept { return depth_; }
   unsigned occupancy() const noexcept {
     return static_cast<unsigned>(fifo_.size());
@@ -39,16 +37,15 @@ class WriteBuffer {
   bool empty() const noexcept { return fifo_.empty(); }
   bool full() const noexcept { return fifo_.size() >= depth_; }
 
-  /// Absorb a write transaction.  Returns false when disabled or full.
+  /// Absorb a write transaction.  Returns false when full (depth 0 is
+  /// always full).
   bool absorb(const ahb::Transaction& t, sim::Cycle now);
 
-  /// Pseudo-master request line: occupied at/above watermark, or urgent.
-  bool requesting() const noexcept {
-    return enabled_ && (occupancy() >= watermark_ || (urgent_ && !empty()));
-  }
+  /// Pseudo-master request line: raised whenever the buffer is occupied.
+  bool requesting() const noexcept { return !empty(); }
 
   /// Urgency: full, or a read hazard is pending (escalates arbitration).
-  bool urgent() const noexcept { return enabled_ && (full() || urgent_) && !empty(); }
+  bool urgent() const noexcept { return (full() || urgent_) && !empty(); }
 
   /// Next transaction to drain (FIFO order).  Pre: !empty().
   const ahb::Transaction& front() const;
@@ -87,16 +84,14 @@ class WriteBuffer {
 
   const stats::WriteBufferProfile& profile() const noexcept { return profile_; }
 
-  /// Snapshot FIFO contents, urgency flag and profile.  Capacity/watermark
-  /// are configuration: a snapshot restores into whatever depth the target
+  /// Snapshot FIFO contents, urgency flag and profile.  Capacity is
+  /// configuration: a snapshot restores into whatever depth the target
   /// platform was built with (occupancy above the new depth simply drains).
   void save_state(state::StateWriter& w) const;
   void restore_state(state::StateReader& r);
 
  private:
   unsigned depth_;
-  unsigned watermark_;
-  bool enabled_;
   bool urgent_ = false;
   std::deque<ahb::Transaction> fifo_;
   stats::WriteBufferProfile profile_;

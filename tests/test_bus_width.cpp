@@ -217,7 +217,7 @@ TEST(BusWidthScenario, SweepOverrideKeyApplies) {
 TEST(BusWidthChecker, FlagsBeatsWiderThanTheBus) {
   chk::ViolationLog log;
   chk::BusChecker checker(
-      chk::CheckerConfig{1, 0, false, /*bus_width_bytes=*/4}, log);
+      chk::CheckerConfig{.masters = 1, .bus_width_bytes = 4}, log);
   chk::BusCycleView v;
   v.cycle = 1;
   v.hmaster = 0;
@@ -234,7 +234,7 @@ TEST(BusWidthChecker, FlagsBeatsWiderThanTheBus) {
 TEST(BusWidthChecker, AcceptsFullWidthBeats) {
   chk::ViolationLog log;
   chk::BusChecker checker(
-      chk::CheckerConfig{1, 0, false, /*bus_width_bytes=*/8}, log);
+      chk::CheckerConfig{.masters = 1, .bus_width_bytes = 8}, log);
   chk::BusCycleView v;
   v.cycle = 1;
   v.hmaster = 0;

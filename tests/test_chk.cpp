@@ -36,7 +36,9 @@ BusCycleView beat_view(ahbp::sim::Cycle c, MasterId m, Trans tr, Addr addr,
   return v;
 }
 
-CheckerConfig cfg2() { return CheckerConfig{2, 4, true}; }
+CheckerConfig cfg2() {
+  return CheckerConfig{.masters = 2, .write_buffer_depth = 4};
+}
 
 TEST(ViolationLog, RecordsAndCounts) {
   ViolationLog log;
@@ -206,7 +208,7 @@ TEST(BusChecker, WbufDepthOverflowFlagged) {
 
 TEST(BusChecker, WbufDisabledMustBeEmpty) {
   ViolationLog log;
-  BusChecker c(CheckerConfig{2, 4, false}, log);
+  BusChecker c(CheckerConfig{.masters = 2, .write_buffer_depth = 0}, log);
   BusCycleView v = idle_view(0);
   v.wbuf_occupancy = 1;
   c.on_cycle(v);

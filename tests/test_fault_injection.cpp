@@ -25,7 +25,8 @@ struct Bench {
   SharedWires sh{kernel, 2, 4};
   MasterWires m0{kernel, 0};
   chk::ViolationLog log;
-  chk::BusChecker checker{chk::CheckerConfig{2, 4, true}, log};
+  chk::BusChecker checker{
+      chk::CheckerConfig{.masters = 2, .write_buffer_depth = 4}, log};
   sim::Cycle cycle = 0;
   std::function<void(sim::Cycle)> script;
   sim::Process drive{kernel, "rogue", [this] {

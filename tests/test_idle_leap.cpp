@@ -48,23 +48,23 @@ struct PerCycleReference {
 };
 
 constexpr PerCycleReference kReference[] = {
-    {"table1/cpu-1", 2251, 2252, 240, 0x7b686401U},
-    {"table1/cpu-2", 2211, 2215, 240, 0x39e600ffU},
-    {"table1/cpu-3", 2480, 2481, 240, 0x52796cf6U},
-    {"table1/cpu-4", 2713, 2742, 240, 0x917ec4a5U},
-    {"table1/dma-1", 4178, 4182, 240, 0xacb5cf4fU},
-    {"table1/dma-2", 3027, 3028, 240, 0x2472878fU},
-    {"table1/dma-3", 2519, 2520, 240, 0x54bc54bbU},
-    {"table1/dma-4", 4213, 4217, 240, 0xe5fca20dU},
-    {"table1/rt-1", 4748, 4749, 240, 0xee881032U},
-    {"table1/rt-2", 3564, 3565, 240, 0x1379c471U},
-    {"table1/rt-3", 7555, 7556, 240, 0xc5fa03fdU},
-    {"table1/rt-4", 4016, 4017, 240, 0x1ae02760U},
-    {"single-master", 874, 875, 60, 0x5764b9b6U},
-    {"bursty-dma", 5350, 5351, 240, 0x973e7210U},
-    {"bank-conflict", 2612, 2613, 240, 0x857e00bfU},
-    {"wbuf-stress", 2183, 2185, 240, 0x9ff355b0U},
-    {"qos-starvation", 5109, 5110, 240, 0xc819f4cbU},
+    {"table1/cpu-1", 2251, 2252, 240, 0x42692118U},
+    {"table1/cpu-2", 2211, 2215, 240, 0x8a9d8e8aU},
+    {"table1/cpu-3", 2480, 2481, 240, 0x8ca98b16U},
+    {"table1/cpu-4", 2713, 2742, 240, 0x08b65e1aU},
+    {"table1/dma-1", 4178, 4182, 240, 0x67b1c689U},
+    {"table1/dma-2", 3027, 3028, 240, 0xdde06f25U},
+    {"table1/dma-3", 2519, 2520, 240, 0x5d778f5bU},
+    {"table1/dma-4", 4213, 4217, 240, 0xd1a656a5U},
+    {"table1/rt-1", 4748, 4749, 240, 0xd06bc8d6U},
+    {"table1/rt-2", 3564, 3565, 240, 0x88df87fcU},
+    {"table1/rt-3", 7555, 7556, 240, 0x4dd187f6U},
+    {"table1/rt-4", 4016, 4017, 240, 0x71779645U},
+    {"single-master", 874, 875, 60, 0x27c026dbU},
+    {"bursty-dma", 5350, 5351, 240, 0xe56b6caeU},
+    {"bank-conflict", 2612, 2613, 240, 0xacb9c346U},
+    {"wbuf-stress", 2183, 2185, 240, 0x4674de69U},
+    {"qos-starvation", 5109, 5110, 240, 0x39c993a7U},
 };
 
 TEST(IdleLeap, EveryPresetMatchesPerCycleReference) {

@@ -15,6 +15,7 @@
 
 #include "core/platform.hpp"
 #include "core/workloads.hpp"
+#include "tlm/bus.hpp"
 
 namespace {
 
@@ -44,7 +45,7 @@ sim::Cycle qos_bound(const PlatformConfig& cfg) {
   const sim::Cycle row_cycle = t.tRP + t.tRCD + t.tCL + 16 + t.tWR;
   const sim::Cycle refresh = t.tREFI ? t.tRFC + t.tRP : 0;
   return cfg.masters[0].qos.objective + 2 * row_cycle + refresh +
-         cfg.bus.tlm_grant_to_start + 8;
+         tlm::kGrantToStart + 8;
 }
 
 class QosBoundSweep

@@ -100,7 +100,7 @@ TEST(ScenarioErrors, UnknownKeyNamesSectionAndLine) {
 TEST(ScenarioErrors, BadValues) {
   EXPECT_THROW(scenario::parse("[bus]\nwrite_buffer_depth = soon\n"),
                ScenarioError);
-  EXPECT_THROW(scenario::parse("[bus]\nwrite_buffer = maybe\n"),
+  EXPECT_THROW(scenario::parse("[bus]\nbi_hints = maybe\n"),
                ScenarioError);
   EXPECT_THROW(scenario::parse("[bus]\nfilter_mask = 0x80\n"),
                ScenarioError);  // beyond the 7 filters
@@ -316,7 +316,7 @@ TEST(ScenarioRoundTrip, SerializeParseSerializeIsIdentity) {
 TEST(ScenarioRoundTrip, FieldsSurvive) {
   auto cfg = scenario::ScenarioRegistry::builtin().build("qos-starvation");
   cfg.bus.filter_mask = 0x55;
-  cfg.bus.request_pipelining = false;
+  cfg.bus.bi_hints_enabled = false;
   cfg.timing = ddr::ddr400();
   cfg.geom.mapping = ddr::Mapping::kBankRowCol;
   cfg.masters[2].traffic.read_ratio = 0.125;
@@ -324,7 +324,7 @@ TEST(ScenarioRoundTrip, FieldsSurvive) {
 
   const auto rt = scenario::parse(scenario::serialize(cfg));
   EXPECT_EQ(rt.bus.filter_mask, 0x55);
-  EXPECT_FALSE(rt.bus.request_pipelining);
+  EXPECT_FALSE(rt.bus.bi_hints_enabled);
   EXPECT_EQ(rt.timing.tRFC, ddr::ddr400().tRFC);
   EXPECT_EQ(rt.geom.mapping, ddr::Mapping::kBankRowCol);
   ASSERT_EQ(rt.masters.size(), cfg.masters.size());
@@ -337,40 +337,59 @@ TEST(ScenarioErrors, RemovedSectionsAreUnknown) {
   // Idle leaping is always on, so the simulator-tuning section is gone;
   // snapshots are taken with `ahbp_sim checkpoint`, so the checkpoint
   // section is gone too.  Both, and every key of theirs, fail as an
-  // unknown section, in a scenario file and as a dotted override.
-  const auto expect_unknown = [](auto&& attempt, const std::string& section,
-                                 const char* what) {
+  // unknown section, in a scenario file and as a dotted override.  The
+  // four [bus] keys that meant something different (or nothing) in one of
+  // the two models fail as unknown keys, in a file, as a dotted override
+  // and as a sweep axis.
+  const auto expect_unknown = [](auto&& attempt, const std::string& needle,
+                                 const std::string& what) {
     try {
       attempt();
       ADD_FAILURE() << "accepted: " << what;
     } catch (const scenario::ScenarioError& e) {
-      EXPECT_NE(std::string(e.what()).find("unknown section '" + section +
-                                           "'"),
-                std::string::npos)
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
           << e.what();
     }
   };
   for (const char* text : {"[sim]\n", "[sim]\nddr_threads = 4\n"}) {
-    expect_unknown([&] { scenario::parse(text); }, "sim", text);
+    expect_unknown([&] { scenario::parse(text); }, "unknown section 'sim'",
+                   text);
   }
   for (const char* text :
        {"[checkpoint]\n", "[checkpoint]\nat_cycle = 500\npath = w.ckpt\n"}) {
-    expect_unknown([&] { scenario::parse(text); }, "checkpoint", text);
+    expect_unknown([&] { scenario::parse(text); },
+                   "unknown section 'checkpoint'", text);
   }
   auto cfg = scenario::ScenarioRegistry::builtin().build("single-master");
   expect_unknown([&] { scenario::apply_key(cfg, "sim.ddr_threads", "2"); },
-                 "sim", "sim.ddr_threads");
+                 "unknown section 'sim'", "sim.ddr_threads");
   expect_unknown(
       [&] { scenario::apply_key(cfg, "checkpoint.at_cycle", "500"); },
-      "checkpoint", "checkpoint.at_cycle");
+      "unknown section 'checkpoint'", "checkpoint.at_cycle");
+  const std::vector<std::pair<std::string, std::string>> bus_keys = {
+      {"write_buffer", "on"},
+      {"drain_watermark", "1"},
+      {"request_pipelining", "on"},
+      {"grant_to_start", "3"},
+  };
+  for (const auto& [key, value] : bus_keys) {
+    const std::string needle = "unknown [bus] key '" + key + "'";
+    const std::string text = "[bus]\n" + key + " = " + value + "\n";
+    expect_unknown([&] { scenario::parse(text); }, needle, text);
+    expect_unknown([&] { scenario::apply_key(cfg, "bus." + key, value); },
+                   needle, "bus." + key);
+    const std::string spec = "base = single-master\n[sweep]\nbus." + key +
+                             " = " + value + ", " + value + "\n";
+    expect_unknown([&] { sweep::expand(sweep::parse_spec(spec)); }, needle,
+                   spec);
+  }
 }
 
 TEST(ScenarioErrors, UnsignedKeysRejectValuesPast32Bits) {
-  // These four keys land in `unsigned` fields: a value past 2^32 - 1 must
+  // These three keys land in `unsigned` fields: a value past 2^32 - 1 must
   // be rejected, not wrapped (items = 2^32 + 1 would run one transaction).
   const std::vector<std::pair<std::string, std::string>> keys = {
       {"bus", "write_buffer_depth"},
-      {"bus", "drain_watermark"},
       {"master0", "items"},
       {"master0", "dma_burst_beats"},
   };

@@ -151,7 +151,7 @@ TEST(ScenarioLint, DuplicateValueAndConstantAxisAreSoftFindings) {
       "\n"
       "[sweep]\n"
       "bus.write_buffer_depth = 4, 4\n"
-      "bus.request_pipelining = on\n");
+      "bus.bi_hints = on\n");
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(count_check(r, "axes/duplicate-value"), 1u);
   EXPECT_EQ(count_check(r, "axes/constant"), 1u);

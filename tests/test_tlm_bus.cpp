@@ -101,7 +101,7 @@ TEST(TlmBus, TimestampsMonotone) {
   EXPECT_LE(t.granted_at, t.started_at);
   EXPECT_LT(t.started_at, t.finished_at);
   // Calibrated grant-to-start latency (§3.4 timing definition).
-  EXPECT_EQ(t.started_at - t.granted_at, rig.cfg.tlm_grant_to_start);
+  EXPECT_EQ(t.started_at - t.granted_at, kGrantToStart);
 }
 
 TEST(TlmBus, WriteAbsorbedWhileBusIsBusy) {
@@ -226,16 +226,11 @@ TEST(TlmBus, MalformedTransactionAsserts) {
 }
 
 TEST(TlmBus, WriteBufferDisabledStillCorrect) {
-  Rig rig;
-  rig.cfg.write_buffer_enabled = false;
-  Rig rig2(2);
-  rig2.cfg.write_buffer_enabled = false;
-  // Rebuild with the modified config.
   ahb::QosRegisterFile qos(2);
   TlmDdrc ddrc(ddr::toy_timing(), geom4(), 0);
   chk::ViolationLog log;
   ahb::BusConfig cfg;
-  cfg.write_buffer_enabled = false;
+  cfg.write_buffer_depth = 0;
   AhbPlusBus bus(cfg, qos, ddrc, 2, &log);
   sim::CycleKernel kernel;
   kernel.add(bus);

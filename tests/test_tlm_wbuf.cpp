@@ -23,21 +23,16 @@ ahb::Transaction write_txn(ahb::Addr addr, unsigned beats,
   return t;
 }
 
-TEST(WriteBuffer, DisabledAbsorbsNothing) {
-  WriteBuffer w(4, 1, /*enabled=*/false);
+TEST(WriteBuffer, ZeroDepthAbsorbsNothing) {
+  WriteBuffer w(0);
   EXPECT_FALSE(w.enabled());
   EXPECT_FALSE(w.absorb(write_txn(0x100, 4), 0));
   EXPECT_FALSE(w.requesting());
-}
-
-TEST(WriteBuffer, ZeroDepthActsDisabled) {
-  WriteBuffer w(0, 1, /*enabled=*/true);
-  EXPECT_FALSE(w.enabled());
-  EXPECT_FALSE(w.absorb(write_txn(0x100, 4), 0));
+  EXPECT_FALSE(w.urgent());
 }
 
 TEST(WriteBuffer, AbsorbUpToDepth) {
-  WriteBuffer w(2, 1, true);
+  WriteBuffer w(2);
   EXPECT_TRUE(w.absorb(write_txn(0x100, 4), 0));
   EXPECT_TRUE(w.absorb(write_txn(0x200, 4), 1));
   EXPECT_TRUE(w.full());
@@ -46,7 +41,7 @@ TEST(WriteBuffer, AbsorbUpToDepth) {
 }
 
 TEST(WriteBuffer, FifoOrderPreserved) {
-  WriteBuffer w(4, 1, true);
+  WriteBuffer w(4);
   w.absorb(write_txn(0x100, 1), 0);
   w.absorb(write_txn(0x200, 1), 1);
   w.absorb(write_txn(0x300, 1), 2);
@@ -57,35 +52,38 @@ TEST(WriteBuffer, FifoOrderPreserved) {
 }
 
 TEST(WriteBuffer, RejectsReads) {
-  WriteBuffer w(4, 1, true);
+  WriteBuffer w(4);
   ahb::Transaction t = write_txn(0x0, 1);
   t.dir = ahb::Dir::kRead;
   EXPECT_THROW(w.absorb(t, 0), chk::ModelAssertError);
 }
 
-TEST(WriteBuffer, RequestingFollowsWatermark) {
-  WriteBuffer w(4, 2, true);
+TEST(WriteBuffer, RequestsWheneverOccupied) {
+  WriteBuffer w(4);
   EXPECT_FALSE(w.requesting());
   w.absorb(write_txn(0x100, 1), 0);
-  EXPECT_FALSE(w.requesting());  // below watermark 2
+  EXPECT_TRUE(w.requesting());  // one entry is enough: nothing is stranded
   w.absorb(write_txn(0x200, 1), 1);
   EXPECT_TRUE(w.requesting());
+  w.pop_front(2);
+  EXPECT_TRUE(w.requesting());
+  w.pop_front(3);
+  EXPECT_FALSE(w.requesting());
 }
 
 TEST(WriteBuffer, UrgentWhenFull) {
-  WriteBuffer w(1, 1, true);
+  WriteBuffer w(1);
   EXPECT_FALSE(w.urgent());
   w.absorb(write_txn(0x100, 1), 0);
   EXPECT_TRUE(w.urgent());
 }
 
 TEST(WriteBuffer, HazardFlagEscalatesAndClears) {
-  WriteBuffer w(4, 4, true);
+  WriteBuffer w(4);
   w.absorb(write_txn(0x100, 1), 0);
   EXPECT_FALSE(w.urgent());
   w.flag_hazard();
   EXPECT_TRUE(w.urgent());
-  EXPECT_TRUE(w.requesting());  // urgency overrides the watermark
   w.clear_hazard_if_unneeded(/*still=*/true);
   EXPECT_TRUE(w.urgent());
   w.clear_hazard_if_unneeded(/*still=*/false);
@@ -93,7 +91,7 @@ TEST(WriteBuffer, HazardFlagEscalatesAndClears) {
 }
 
 TEST(WriteBuffer, OverlapsIncrRange) {
-  WriteBuffer w(4, 1, true);
+  WriteBuffer w(4);
   w.absorb(write_txn(0x100, 4), 0);  // covers [0x100, 0x110)
   EXPECT_TRUE(w.overlaps(0x10C, 0x110));
   EXPECT_TRUE(w.overlaps(0x0F0, 0x104));
@@ -102,7 +100,7 @@ TEST(WriteBuffer, OverlapsIncrRange) {
 }
 
 TEST(WriteBuffer, OverlapsWrapWindow) {
-  WriteBuffer w(4, 1, true);
+  WriteBuffer w(4);
   // WRAP4 of words at 0x38 wraps within [0x30, 0x40).
   w.absorb(write_txn(0x38, 4, ahb::Burst::kWrap4), 0);
   EXPECT_TRUE(w.overlaps(0x30, 0x34));  // wrapped portion covered
@@ -110,7 +108,7 @@ TEST(WriteBuffer, OverlapsWrapWindow) {
 }
 
 TEST(WriteBuffer, OverlapClearsAfterDrain) {
-  WriteBuffer w(4, 1, true);
+  WriteBuffer w(4);
   w.absorb(write_txn(0x100, 4), 0);
   ASSERT_TRUE(w.overlaps(0x100, 0x104));
   w.pop_front(5);
@@ -118,7 +116,7 @@ TEST(WriteBuffer, OverlapClearsAfterDrain) {
 }
 
 TEST(WriteBuffer, ProfileCountersTrackLifecycle) {
-  WriteBuffer w(2, 1, true);
+  WriteBuffer w(2);
   w.absorb(write_txn(0x100, 1), 0);
   w.absorb(write_txn(0x200, 1), 0);
   w.count_full_stall();
@@ -137,7 +135,7 @@ TEST(WriteBuffer, ProfileCountersTrackLifecycle) {
 }
 
 TEST(WriteBuffer, PopEmptyAsserts) {
-  WriteBuffer w(2, 1, true);
+  WriteBuffer w(2);
   EXPECT_THROW(w.pop_front(0), chk::ModelAssertError);
   EXPECT_THROW(w.front(), chk::ModelAssertError);
 }
