@@ -4,9 +4,9 @@
 // claims by disabling one mechanism at a time on the RT-stream mix and
 // reporting QoS misses, RT latency and total runtime.
 
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "core/platform.hpp"
 #include "core/workloads.hpp"
 #include "stats/report.hpp"
@@ -36,8 +36,8 @@ ahbp::core::PlatformConfig rt_last_mix(unsigned items) {
 
 int main(int argc, char** argv) {
   using namespace ahbp;
-  const unsigned items =
-      argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 300;
+  const unsigned items = bench::count_arg(
+      argc, argv, 1, 300, "bench_arbitration [items-per-master]");
 
   std::cout << "=== Ablation A: arbitration filters (TLM, RT master at the"
                " lowest fixed priority, "

@@ -11,12 +11,12 @@
 // Usage: bench_checkpoint [items-per-master] [repeats]
 
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "core/checkpoint.hpp"
 #include "scenario/registry.hpp"
 #include "state/snapshot.hpp"
@@ -69,12 +69,12 @@ SnapshotCost measure_snapshot(const ahbp::core::PlatformConfig& cfg,
 
 }  // namespace
 
+constexpr char kUsage[] = "bench_checkpoint [items-per-master] [repeats]";
+
 int main(int argc, char** argv) {
   using namespace ahbp;
-  const unsigned items =
-      argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 400;
-  const unsigned repeats =
-      argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 3;
+  const unsigned items = bench::count_arg(argc, argv, 1, 400, kUsage);
+  const unsigned repeats = bench::count_arg(argc, argv, 2, 3, kUsage);
 
   // Warm-up-dominated exploration batch: the rt-1 mix, 16 points extending
   // the rt stream's and the random mix's transaction counts — axes that

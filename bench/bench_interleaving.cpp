@@ -6,17 +6,17 @@
 // contrasts the interleaving-friendly address mapping against the
 // bank-serial one.
 
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "core/platform.hpp"
 #include "core/workloads.hpp"
 #include "stats/report.hpp"
 
 int main(int argc, char** argv) {
   using namespace ahbp;
-  const unsigned items =
-      argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 300;
+  const unsigned items = bench::count_arg(
+      argc, argv, 1, 300, "bench_interleaving [items-per-master]");
 
   std::cout << "=== Ablation C: bank interleaving / BI hints (TLM, dma-1 mix, "
             << items << " txns/master) ===\n\n";

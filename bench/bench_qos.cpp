@@ -4,9 +4,9 @@
 // sweeps the load and reports the RT master's grant-wait distribution and
 // objective misses with the AHB+ QoS machinery on and off.
 
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "core/platform.hpp"
 #include "core/workloads.hpp"
 #include "stats/report.hpp"
@@ -42,8 +42,8 @@ ahbp::core::PlatformConfig make_load(unsigned hogs, unsigned items,
 
 int main(int argc, char** argv) {
   using namespace ahbp;
-  const unsigned items =
-      argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 250;
+  const unsigned items = bench::count_arg(
+      argc, argv, 1, 250, "bench_qos [items-per-master]");
 
   std::cout << "=== Ablation D: QoS guarantee under load (TLM, RT stream +"
                " N DMA hogs, objective 48 cycles) ===\n\n";

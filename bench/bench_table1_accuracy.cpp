@@ -11,14 +11,15 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "core/compare.hpp"
 #include "core/workloads.hpp"
 #include "stats/report.hpp"
 
 int main(int argc, char** argv) {
   using namespace ahbp;
-  const unsigned items =
-      argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 150;
+  const unsigned items = bench::count_arg(
+      argc, argv, 1, 150, "bench_table1_accuracy [items-per-master] [seed]");
   const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 11;
 
   std::cout << "=== Table 1: Simulation results (RTL vs TLM cycle counts) ==="

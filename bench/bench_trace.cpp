@@ -14,12 +14,12 @@
 // Usage: bench_trace [items-per-master] [repeats]
 
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "core/checkpoint.hpp"
 #include "core/platform.hpp"
 #include "scenario/registry.hpp"
@@ -28,13 +28,13 @@
 #include "traffic/trace.hpp"
 #include "traffic/trace_bin.hpp"
 
+constexpr char kUsage[] = "bench_trace [items-per-master] [repeats]";
+
 int main(int argc, char** argv) {
   using namespace ahbp;
   using Clock = std::chrono::steady_clock;
-  const unsigned items =
-      argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 2000;
-  const unsigned repeats =
-      argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 5;
+  const unsigned items = bench::count_arg(argc, argv, 1, 2000, kUsage);
+  const unsigned repeats = bench::count_arg(argc, argv, 2, 5, kUsage);
 
   const core::PlatformConfig cfg =
       scenario::ScenarioRegistry::builtin().build("table1/rt-1", items, 7);

@@ -4,17 +4,17 @@
 // this bench sweeps depth 0 (off) through 16 on a write-heavy mix and
 // reports write latency, absorption rate and total runtime.
 
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "core/platform.hpp"
 #include "core/workloads.hpp"
 #include "stats/report.hpp"
 
 int main(int argc, char** argv) {
   using namespace ahbp;
-  const unsigned items =
-      argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 300;
+  const unsigned items = bench::count_arg(
+      argc, argv, 1, 300, "bench_writebuffer [items-per-master]");
 
   std::cout << "=== Ablation B: write buffer depth sweep (TLM, streaming-"
                "write DMA mix, "

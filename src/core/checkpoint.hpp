@@ -43,7 +43,7 @@ struct KernelStats;
 /// The restore contract: the target platform must match the snapshot
 /// *structurally* (model kind, master count, channel count, per-channel
 /// bank geometry, checker enablement) — violations throw
-/// `state::StateError`.  Tunable knobs (timings, QoS values, watermarks,
+/// `state::StateError`.  Tunable knobs (timings, QoS values, urgency slack,
 /// filter masks) may differ; they take effect from the restored cycle on.
 /// Restore-then-run is bit-exact with an uninterrupted run when the target
 /// configuration equals the snapshot's — the property pinned per registry

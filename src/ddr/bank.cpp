@@ -230,10 +230,6 @@ std::uint32_t BankEngine::open_row(std::uint32_t b) const {
   return bank(b).open_row();
 }
 
-bool BankEngine::column_ready(const Coord& c, sim::Cycle now) const {
-  return bank(c.bank).can_column(now, c.row);
-}
-
 std::uint32_t BankEngine::idle_bank_mask(sim::Cycle now) const {
   std::uint32_t mask = 0;
   for (std::uint32_t b = 0; b < banks_.size(); ++b) {

@@ -104,9 +104,6 @@ class BankEngine {
   BankState bank_state(std::uint32_t b, sim::Cycle now) const;
   std::uint32_t open_row(std::uint32_t b) const;
 
-  /// True if a column access to `c` could issue right now.
-  bool column_ready(const Coord& c, sim::Cycle now) const;
-
   /// Bitmap of banks whose state is kIdle (used for the BI "idle bank"
   /// information the paper describes).
   std::uint32_t idle_bank_mask(sim::Cycle now) const;

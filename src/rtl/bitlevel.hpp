@@ -27,8 +27,9 @@
 /// and commits are those of one `Signal<bool>` per pin.  Packing removes
 /// per-pin bookkeeping, not events.
 ///
-/// Every bit carries its true value; disabling the layer changes nothing
-/// architecturally (it is the fidelity knob the speed benchmark ablates).
+/// Every bit carries its true value and no architectural wire reads the
+/// layer back.  RtlFabric always instantiates it; its cost is the
+/// `rtl.pin.*` phases of the self-profile.
 
 namespace ahbp::rtl {
 

@@ -45,7 +45,6 @@ void DetailLayer::make_column_detail(sim::EventKernel& k, unsigned i) {
   d.size_bytes_w = std::make_unique<sim::Signal<std::uint8_t>>(
       k, dname(i, "size_bytes"));
   d.active_w = std::make_unique<sim::Signal<bool>>(k, dname(i, "active"));
-  signal_count_ += 6;
 
   MasterWires* col = cols_[i];
   sim::Signal<std::uint64_t>* next = d.haddr_next.get();
@@ -74,11 +73,9 @@ void DetailLayer::make_datapath_detail(sim::EventKernel& k) {
         k, "dp.wlane" + std::to_string(b)));
     rlane_.push_back(std::make_unique<sim::Signal<std::uint8_t>>(
         k, "dp.rlane" + std::to_string(b)));
-    signal_count_ += 2;
   }
   hrdata_r_ =
       std::make_unique<sim::Signal<std::uint64_t>>(k, "dp.hrdata_r");
-  ++signal_count_;
 
   // Byte-lane steering: real write datapaths route HWDATA through per-lane
   // byte enables; the read path mirrors it.
@@ -106,11 +103,9 @@ void DetailLayer::make_arbiter_detail(sim::EventKernel& k) {
       std::make_unique<sim::Signal<std::uint8_t>>(k, "arb.req_count");
   first_req_w_ =
       std::make_unique<sim::Signal<std::uint8_t>>(k, "arb.first_req");
-  signal_count_ += 3;
   for (unsigned i = 0; i + 1 < cols_.size(); ++i) {
     stage_pass_.push_back(std::make_unique<sim::Signal<bool>>(
         k, "arb.pass" + std::to_string(i)));
-    ++signal_count_;
   }
 
   // The request-population cone of the arbiter: mask, population count and
@@ -155,11 +150,9 @@ void DetailLayer::make_ddrc_detail(sim::EventKernel& k) {
       d.row_r = std::make_unique<sim::Signal<std::uint32_t>>(k, pre + "row");
       d.ready_timer =
           std::make_unique<sim::Signal<std::uint32_t>>(k, pre + "timer");
-      signal_count_ += 3;
       for (const char* t : kTimerNames) {
         d.timers.push_back(
             std::make_unique<sim::Signal<std::uint32_t>>(k, pre + t));
-        ++signal_count_;
       }
       banks_.push_back(std::move(d));
       bank_of_.emplace_back(ch, b);
@@ -167,14 +160,12 @@ void DetailLayer::make_ddrc_detail(sim::EventKernel& k) {
   }
   wq_level_ = std::make_unique<sim::Signal<std::uint32_t>>(k, "ddrc.wq");
   xfer_beat_ = std::make_unique<sim::Signal<std::uint32_t>>(k, "ddrc.beat");
-  signal_count_ += 2;
   for (std::uint32_t ch = 0; ch < set_.channels(); ++ch) {
     const std::string name = set_.channels() == 1
                                  ? "ddrc.refctr"
                                  : "ddrc.c" + std::to_string(ch) + ".refctr";
     refresh_ctr_.push_back(
         std::make_unique<sim::Signal<std::uint32_t>>(k, name));
-    ++signal_count_;
   }
 
   // Data FIFOs between the AHB side and the DRAM side: 8 words each plus
@@ -186,11 +177,9 @@ void DetailLayer::make_ddrc_detail(sim::EventKernel& k) {
         k, "ddrc.rdfifo" + std::to_string(i)));
     wr_fifo_.push_back(std::make_unique<sim::Signal<std::uint64_t>>(
         k, "ddrc.wrfifo" + std::to_string(i)));
-    signal_count_ += 2;
   }
   rd_ptr_ = std::make_unique<sim::Signal<std::uint8_t>>(k, "ddrc.rdptr");
   wr_ptr_ = std::make_unique<sim::Signal<std::uint8_t>>(k, "ddrc.wrptr");
-  signal_count_ += 2;
 
   // Write-buffer RAM: depth x 16 beat cells (written as data streams in,
   // like the real macro).
@@ -198,7 +187,6 @@ void DetailLayer::make_ddrc_detail(sim::EventKernel& k) {
     for (unsigned w = 0; w < 16; ++w) {
       wbuf_ram_.push_back(std::make_unique<sim::Signal<std::uint64_t>>(
           k, "wbuf.ram" + std::to_string(e) + "_" + std::to_string(w)));
-      ++signal_count_;
     }
   }
 
@@ -210,7 +198,6 @@ void DetailLayer::make_ddrc_detail(sim::EventKernel& k) {
         k, "qos.slack" + std::to_string(m)));
     wait_ctr_.push_back(std::make_unique<sim::Signal<std::uint32_t>>(
         k, "qos.wait" + std::to_string(m)));
-    signal_count_ += 2;
   }
 }
 

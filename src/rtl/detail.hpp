@@ -21,10 +21,9 @@
 /// implementation carrying its true value, re-evaluated with the same
 /// delta-cycle machinery an RTL simulator uses.
 ///
-/// The layer is purely structural — it observes and re-derives values; the
-/// architectural behaviour is unchanged whether it is instantiated or not
-/// (RtlFabric's `rt_detail` constructor argument toggles it, which is
-/// itself an ablation the speed benchmark reports).
+/// The layer is purely structural — it observes and re-derives values and
+/// drives no architectural wire.  RtlFabric always instantiates it; its
+/// cost is the `rtl.rt-detail` phase of the self-profile.
 
 namespace ahbp::rtl {
 
@@ -42,9 +41,6 @@ class DetailLayer {
   DetailLayer& operator=(const DetailLayer&) = delete;
 
   void bind_clock(sim::Signal<bool>& clk);
-
-  /// Number of detail signals instantiated (reported by the speed bench).
-  std::size_t signal_count() const noexcept { return signal_count_; }
 
  private:
   void make_column_detail(sim::EventKernel& k, unsigned i);
@@ -113,7 +109,6 @@ class DetailLayer {
   std::vector<std::unique_ptr<sim::Signal<std::uint32_t>>> wait_ctr_;
 
   std::unique_ptr<sim::Process> edge_proc_;
-  std::size_t signal_count_ = 0;
 };
 
 }  // namespace ahbp::rtl

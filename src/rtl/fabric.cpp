@@ -15,7 +15,7 @@ constexpr sim::Tick kClockPeriod = 2;  // one bus cycle = 2 ticks
 }
 
 RtlFabric::RtlFabric(const core::PlatformConfig& cfg,
-                     std::vector<traffic::Script> scripts, bool rt_detail)
+                     std::vector<traffic::Script> scripts)
     : bus_(cfg.bus),
       masters_(static_cast<unsigned>(scripts.size())),
       clock_(kernel_, "hclk", kClockPeriod),
@@ -38,17 +38,16 @@ RtlFabric::RtlFabric(const core::PlatformConfig& cfg,
 
   clock_.signal().subscribe(tick_, sim::Edge::kPos);
 
-  // Wire columns: one per master plus the write buffer's.
+  // Wire columns: one per master plus, last, the write buffer's.
   columns_.reserve(masters_ + 1);
+  std::vector<MasterWires*> all_cols;
   for (unsigned m = 0; m <= masters_; ++m) {
     columns_.push_back(std::make_unique<MasterWires>(kernel_, m));
+    all_cols.push_back(columns_.back().get());
   }
+  const std::vector<MasterWires*> mw(all_cols.begin(), all_cols.end() - 1);
 
   // Masters (subscribe before arbiter/wbuf/ddrc).
-  std::vector<MasterWires*> mw;
-  for (unsigned m = 0; m < masters_; ++m) {
-    mw.push_back(columns_[m].get());
-  }
   for (unsigned m = 0; m < masters_; ++m) {
     auto master = std::make_unique<RtlMaster>(
         kernel_, static_cast<ahb::MasterId>(m), *columns_[m], sh_,
@@ -81,16 +80,10 @@ RtlFabric::RtlFabric(const core::PlatformConfig& cfg,
                                     cfg.ddr_base, bus_, sh_, &cycle_);
   ddrc_->bind_clock(clock_.signal());
 
-  if (rt_detail) {
-    std::vector<MasterWires*> all_cols;
-    for (auto& c : columns_) {
-      all_cols.push_back(c.get());
-    }
-    detail_ = std::make_unique<DetailLayer>(kernel_, sh_, all_cols,
-                                            ddrc_->channels(), &cycle_);
-    detail_->bind_clock(clock_.signal());
-    bitlevel_ = std::make_unique<BitLevelLayer>(kernel_, sh_, all_cols);
-  }
+  detail_ = std::make_unique<DetailLayer>(kernel_, sh_, all_cols,
+                                          ddrc_->channels(), &cycle_);
+  detail_->bind_clock(clock_.signal());
+  bitlevel_ = std::make_unique<BitLevelLayer>(kernel_, sh_, all_cols);
 
   make_muxes();
 

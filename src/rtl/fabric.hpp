@@ -46,13 +46,11 @@ class RtlFabric : public state::Snapshottable {
   /// Assemble the platform `cfg` describes — bus, DDR part, interleave and
   /// per-channel overrides, DDR base, checkers and each master's QoS
   /// registers — driven by one script per master (`core::expand_stimulus`).
-  /// `rt_detail` instantiates the register-transfer detail and bit-level
-  /// layers (detail.hpp, bitlevel.hpp); it is on by default because the
-  /// reference model is meant to pay RTL cost, and it is a constructor
-  /// argument rather than a config field because it changes the snapshot
-  /// topology.
+  /// Always instantiates the register-transfer detail and bit-level layers
+  /// (detail.hpp, bitlevel.hpp): the reference model is meant to pay RTL
+  /// cost.
   RtlFabric(const core::PlatformConfig& cfg,
-            std::vector<traffic::Script> scripts, bool rt_detail = true);
+            std::vector<traffic::Script> scripts);
 
   RtlFabric(const RtlFabric&) = delete;
   RtlFabric& operator=(const RtlFabric&) = delete;

@@ -52,7 +52,7 @@ core::PlatformConfig bank_conflict(unsigned items, std::uint64_t seed) {
 
 core::PlatformConfig wbuf_stress(unsigned items, std::uint64_t seed) {
   // Write-buffer saturation: write-dominated traffic from every master
-  // against a shallow 2-entry buffer, so absorption, watermark drain and
+  // against a shallow 2-entry buffer, so absorption, drain and
   // full-stall escalation are all exercised continuously.
   core::PlatformConfig cfg = core::default_platform(4, seed, items);
   cfg.bus.write_buffer_depth = 2;

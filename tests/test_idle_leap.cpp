@@ -2,20 +2,30 @@
 // and every simulated statistic must equal plain cycle-by-cycle stepping.
 // The per-cycle reference is data: the table below was recorded from a
 // platform that stepped every cycle, for every registry preset at 60 items
-// per master.  Also pins checkpoint-mid-leap restore equivalence.
+// per master.  A live per-cycle reference is kept alongside it: a
+// hand-wired CycleKernel loop that steps every cycle.  Also pins
+// checkpoint-mid-leap restore equivalence.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/platform.hpp"
+#include "core/workloads.hpp"
 #include "scenario/registry.hpp"
+#include "sim/cycle_kernel.hpp"
 #include "state/snapshot.hpp"
+#include "tlm/bus.hpp"
+#include "tlm/ddrc.hpp"
+#include "tlm/master.hpp"
 
 namespace {
 
@@ -85,6 +95,59 @@ TEST(IdleLeap, EveryPresetMatchesPerCycleReference) {
     EXPECT_EQ(r.completed, ref->completed);
     EXPECT_EQ(crc_of(canonical(r)), ref->stats_crc);
   }
+}
+
+/// The live per-cycle reference: the TLM components wired by hand on a
+/// CycleKernel whose run_until() evaluates every cycle, with no leaping.
+/// core::run_tlm leaps provably idle stretches; it must stop on the same
+/// cycle, and both must complete `completed` transactions.
+void expect_leap_matches_per_cycle(const core::PlatformConfig& cfg,
+                                   std::uint64_t completed) {
+  sim::CycleKernel kernel;
+  ahb::QosRegisterFile qos(static_cast<unsigned>(cfg.masters.size()));
+  for (unsigned m = 0; m < cfg.masters.size(); ++m) {
+    qos.program(static_cast<ahb::MasterId>(m), cfg.masters[m].qos);
+  }
+  tlm::TlmDdrc ddrc(cfg.timing, cfg.geom, cfg.ddr_base);
+  chk::ViolationLog log;
+  tlm::AhbPlusBus bus(cfg.bus, qos, ddrc,
+                      static_cast<unsigned>(cfg.masters.size()), &log);
+  kernel.add(bus);
+  auto scripts = core::expand_stimulus(cfg);
+  std::vector<std::unique_ptr<tlm::TlmMaster>> masters;
+  for (unsigned m = 0; m < cfg.masters.size(); ++m) {
+    masters.push_back(std::make_unique<tlm::TlmMaster>(
+        static_cast<ahb::MasterId>(m), bus, std::move(scripts[m])));
+    kernel.add(*masters.back());
+  }
+  kernel.run_until(
+      [&] {
+        return std::all_of(masters.begin(), masters.end(),
+                           [](const auto& m) { return m->finished(); }) &&
+               bus.quiescent();
+      },
+      200000);
+  std::uint64_t per_cycle_completed = 0;
+  for (const auto& m : masters) {
+    per_cycle_completed += m->completed();
+  }
+  EXPECT_EQ(log.errors(), 0u) << log.to_string();
+  EXPECT_EQ(per_cycle_completed, completed);
+
+  const core::SimResult leaped = core::run_tlm(cfg);
+  EXPECT_EQ(leaped.ran_cycles, kernel.now());
+  EXPECT_EQ(leaped.completed, completed);
+}
+
+TEST(IdleLeap, SingleMasterMatchesLivePerCycleRun) {
+  expect_leap_matches_per_cycle(core::default_platform(1, 9, 25), 25);
+}
+
+TEST(IdleLeap, MultiMasterMatchesLivePerCycleRun) {
+  auto cfg = core::default_platform(3, 4, 20);
+  cfg.masters[1].traffic.kind = traffic::PatternKind::kDma;
+  cfg.masters[2].traffic.kind = traffic::PatternKind::kRandom;
+  expect_leap_matches_per_cycle(cfg, 60);
 }
 
 TEST(IdleLeap, CheckpointMidLeapRestoresBitExact) {

@@ -1,11 +1,12 @@
 // The pin-accurate platform: end-to-end runs, protocol cleanliness, data
-// integrity, write-buffer streaming path, detail/bit-level layer
-// invariance (fidelity knobs must not change architecture), and the
-// signal-level building blocks.
+// integrity, write-buffer streaming path, the detail/bit-level layer
+// population every fabric carries, and the signal-level building blocks.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -149,26 +150,20 @@ TEST(RtlFabric, WriteBufferStreamingPathUsed) {
 }
 
 TEST(RtlFabric, DetailLayersDoNotChangeArchitecture) {
-  // Fidelity knob invariance: with and without the RT-detail/bit-level
-  // layers the cycle-by-cycle behaviour must be identical.
-  auto make = [&](bool detail) {
-    auto fc = base_cfg(2);
-    std::vector<traffic::Script> scripts;
-    scripts.push_back(script_for(traffic::PatternKind::kCpu, 20, 0, 13, 0));
-    scripts.push_back(script_for(traffic::PatternKind::kDma, 20, 8192, 13, 1));
-    auto fabric = std::make_unique<RtlFabric>(fc, std::move(scripts), detail);
-    fabric->run(100000);
-    return fabric;
-  };
-  auto with = make(true);
-  auto without = make(false);
-  EXPECT_TRUE(with->finished());
-  EXPECT_TRUE(without->finished());
-  EXPECT_EQ(with->last_completion(), without->last_completion());
-  EXPECT_EQ(with->completed_txns(), without->completed_txns());
-  // The detail build evaluates strictly more kernel activity.
-  EXPECT_GT(with->kernel().stats().signal_commits,
-            without->kernel().stats().signal_commits);
+  // The RT-detail/bit-level layers only observe: the fabric must stop on
+  // the cycle-by-cycle outcome recorded from a build with the two layers
+  // left out (architectural wires only), while its kernel commits strictly
+  // more signal changes than that build's 4,277.
+  auto fc = base_cfg(2);
+  std::vector<traffic::Script> scripts;
+  scripts.push_back(script_for(traffic::PatternKind::kCpu, 20, 0, 13, 0));
+  scripts.push_back(script_for(traffic::PatternKind::kDma, 20, 8192, 13, 1));
+  RtlFabric fabric(fc, std::move(scripts));
+  EXPECT_EQ(fabric.run(100000), 768u);
+  EXPECT_TRUE(fabric.finished());
+  EXPECT_EQ(fabric.last_completion(), 633u);
+  EXPECT_EQ(fabric.completed_txns(), 40u);
+  EXPECT_GT(fabric.kernel().stats().signal_commits, 4277u);
 }
 
 TEST(RtlFabric, QosStateVisibleInProfile) {
@@ -292,15 +287,34 @@ TEST(RtlFabric, DetailLayerInstantiatesFullRegisterPopulation) {
   std::vector<traffic::Script> scripts;
   scripts.push_back(script_for(traffic::PatternKind::kCpu, 3, 0, 3, 0));
   scripts.push_back(script_for(traffic::PatternKind::kCpu, 3, 8192, 3, 1));
-  RtlFabric with(fc, std::move(scripts));
-  // Detail + bit-level layers multiply the signal population several-fold
-  // over the architectural wires alone.
-  std::vector<traffic::Script> scripts2;
-  scripts2.push_back(script_for(traffic::PatternKind::kCpu, 3, 0, 3, 0));
-  scripts2.push_back(script_for(traffic::PatternKind::kCpu, 3, 8192, 3, 1));
-  RtlFabric without(fc, std::move(scripts2), /*rt_detail=*/false);
-  EXPECT_GT(with.kernel().signals().size(),
-            3 * without.kernel().signals().size());
+  RtlFabric fabric(fc, std::move(scripts));
+  // Every fabric carries the detail layer (d<column>., dp., arb., ddrc.,
+  // wbuf.ram, qos.; columns d0-d2 here) and the bit-level layer (pin.);
+  // every other signal is an architectural wire.  The layers multiply the
+  // signal population several-fold over the architectural wires alone.
+  constexpr std::array kLayerPrefixes{"d0.",  "d1.",      "d2.",  "dp.",
+                                      "arb.", "ddrc.",    "qos.", "pin.",
+                                      "wbuf.ram"};
+  std::size_t arch = 0;
+  std::set<std::string> names;
+  const sim::BitVector* haddr_pins = nullptr;
+  for (const auto* sig : fabric.kernel().signals()) {
+    const std::string name(sig->name());
+    if (std::ranges::none_of(kLayerPrefixes, [&](const char* prefix) {
+          return name.starts_with(prefix);
+        })) {
+      ++arch;
+    }
+    if (name == "pin.haddr") {
+      haddr_pins = dynamic_cast<const sim::BitVector*>(sig);
+    }
+    names.insert(name);
+  }
+  ASSERT_NE(haddr_pins, nullptr);
+  EXPECT_EQ(haddr_pins->width(), 32u);
+  EXPECT_TRUE(names.contains("d0.haddr_r"));  // a detail register
+  EXPECT_TRUE(names.contains("haddr"));       // an architectural wire
+  EXPECT_GT(fabric.kernel().signals().size(), 3 * arch);
 }
 
 TEST(BitLevelLayer, ShadowsSharedBusesBitTrue) {
