@@ -18,6 +18,7 @@
 
 #include "bench_args.hpp"
 #include "core/checkpoint.hpp"
+#include "obs/json.hpp"
 #include "scenario/registry.hpp"
 #include "state/snapshot.hpp"
 #include "stats/report.hpp"
@@ -163,29 +164,31 @@ int main(int argc, char** argv) {
 
   std::ofstream json("BENCH_CHECKPOINT.json");
   if (json) {
-    json << "{\n  \"bench\": \"checkpoint\",\n"
-         << "  \"items_per_master\": " << items << ",\n"
-         << "  \"warmup_cycles\": " << warmup << ",\n"
-         << "  \"base_cycles\": " << base_run.ran_cycles << ",\n"
-         << "  \"snapshot\": {\n"
-         << "    \"tlm_bytes\": " << tlm_cost.bytes << ",\n"
-         << "    \"tlm_save_ms\": " << stats::fmt_double(tlm_cost.save_ms, 3)
-         << ",\n"
-         << "    \"tlm_restore_ms\": "
-         << stats::fmt_double(tlm_cost.restore_ms, 3) << ",\n"
-         << "    \"rtl_bytes\": " << rtl_cost.bytes << ",\n"
-         << "    \"rtl_save_ms\": " << stats::fmt_double(rtl_cost.save_ms, 3)
-         << ",\n"
-         << "    \"rtl_restore_ms\": "
-         << stats::fmt_double(rtl_cost.restore_ms, 3) << "\n  },\n"
-         << "  \"sweep\": {\n"
-         << "    \"points\": " << points.size() << ",\n"
-         << "    \"model\": \"tlm\",\n"
-         << "    \"cold_seconds\": " << stats::fmt_double(cold_s, 4) << ",\n"
-         << "    \"forked_seconds\": " << stats::fmt_double(forked_s, 4)
-         << ",\n"
-         << "    \"speedup\": " << stats::fmt_double(speedup, 2) << "\n"
-         << "  }\n}\n";
+    obs::JsonWriter j(json);
+    j.begin_object()
+        .member("bench", "checkpoint")
+        .member("items_per_master", items)
+        .member("warmup_cycles", static_cast<std::uint64_t>(warmup))
+        .member("base_cycles", static_cast<std::uint64_t>(base_run.ran_cycles))
+        .key("snapshot")
+        .begin_object()
+        .member("tlm_bytes", static_cast<std::uint64_t>(tlm_cost.bytes))
+        .member("tlm_save_ms", tlm_cost.save_ms)
+        .member("tlm_restore_ms", tlm_cost.restore_ms)
+        .member("rtl_bytes", static_cast<std::uint64_t>(rtl_cost.bytes))
+        .member("rtl_save_ms", rtl_cost.save_ms)
+        .member("rtl_restore_ms", rtl_cost.restore_ms)
+        .end_object()
+        .key("sweep")
+        .begin_object()
+        .member("points", static_cast<std::uint64_t>(points.size()))
+        .member("model", "tlm")
+        .member("cold_seconds", cold_s)
+        .member("forked_seconds", forked_s)
+        .member("speedup", speedup)
+        .end_object()
+        .end_object();
+    json << '\n';
     std::cout << "wrote BENCH_CHECKPOINT.json\n";
   }
   return 0;

@@ -8,7 +8,7 @@
 // per-row difference staying in the low single digits and the average
 // staying below ~3%.
 
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 
 #include "bench_args.hpp"
@@ -18,9 +18,9 @@
 
 int main(int argc, char** argv) {
   using namespace ahbp;
-  const unsigned items = bench::count_arg(
-      argc, argv, 1, 150, "bench_table1_accuracy [items-per-master] [seed]");
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 11;
+  constexpr char kUsage[] = "bench_table1_accuracy [items-per-master] [seed]";
+  const unsigned items = bench::count_arg(argc, argv, 1, 150, kUsage);
+  const std::uint64_t seed = bench::seed_arg(argc, argv, 2, 11, kUsage);
 
   std::cout << "=== Table 1: Simulation results (RTL vs TLM cycle counts) ==="
             << "\n    " << items << " transactions/master, seed " << seed

@@ -22,6 +22,7 @@
 #include "bench_args.hpp"
 #include "core/checkpoint.hpp"
 #include "core/platform.hpp"
+#include "obs/json.hpp"
 #include "scenario/registry.hpp"
 #include "stats/report.hpp"
 #include "traffic/stimulus.hpp"
@@ -146,25 +147,23 @@ int main(int argc, char** argv) {
 
   std::ofstream json("BENCH_TRACE.json");
   if (json) {
-    json << "{\n  \"bench\": \"trace_replay\",\n  \"items_per_master\": "
-         << items << ",\n  \"total_txns\": " << total_txns
-         << ",\n  \"trace_bytes\": " << trace_bytes
-         << ",\n  \"synthetic_expand_txns_per_sec\": "
-         << stats::fmt_double(txns / synth_s, 0)
-         << ",\n  \"save_trace_txns_per_sec\": "
-         << stats::fmt_double(txns / save_s, 0)
-         << ",\n  \"load_trace_txns_per_sec\": "
-         << stats::fmt_double(txns / load_s, 0)
-         << ",\n  \"trace_bin_bytes\": " << bin_bytes
-         << ",\n  \"save_trace_bin_txns_per_sec\": "
-         << stats::fmt_double(txns / bin_save_s, 0)
-         << ",\n  \"load_trace_bin_txns_per_sec\": "
-         << stats::fmt_double(txns / bin_load_s, 0)
-         << ",\n  \"bin_vs_text_load\": "
-         << stats::fmt_double(load_s / bin_load_s, 3)
-         << ",\n  \"replay_vs_synthetic_expand\": "
-         << stats::fmt_double(synth_s / load_s, 3)
-         << ",\n  \"replay_cycles_equal\": true\n}\n";
+    obs::JsonWriter j(json);
+    j.begin_object()
+        .member("bench", "trace_replay")
+        .member("items_per_master", items)
+        .member("total_txns", static_cast<std::uint64_t>(total_txns))
+        .member("trace_bytes", trace_bytes)
+        .member("synthetic_expand_txns_per_sec", txns / synth_s)
+        .member("save_trace_txns_per_sec", txns / save_s)
+        .member("load_trace_txns_per_sec", txns / load_s)
+        .member("trace_bin_bytes", bin_bytes)
+        .member("save_trace_bin_txns_per_sec", txns / bin_save_s)
+        .member("load_trace_bin_txns_per_sec", txns / bin_load_s)
+        .member("bin_vs_text_load", load_s / bin_load_s)
+        .member("replay_vs_synthetic_expand", synth_s / load_s)
+        .member("replay_cycles_equal", true)
+        .end_object();
+    json << '\n';
     std::cout << "wrote BENCH_TRACE.json\n";
   }
   return 0;

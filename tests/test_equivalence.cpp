@@ -88,9 +88,11 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 2u, 4u)));
 
 TEST(Equivalence, CompletedCountsMatchOnTable1Rows) {
-  // Cheap subset of Table 1 (first row of each group) at low item count.
+  // Cheap subset of Table 1 (first row of each group, plus dma-2) at low
+  // item count.  Work conservation per master on the 4-master,
+  // write-buffered platform: identical stimulus moves identical bytes.
   auto rows = table1_workloads(15, 5);
-  for (const auto idx : {0u, 4u, 8u}) {
+  for (const auto idx : {0u, 4u, 5u, 8u}) {
     auto w = rows[idx];
     const SimResult t = run_tlm(w.config);
     const SimResult r = run_rtl(w.config);
@@ -99,6 +101,17 @@ TEST(Equivalence, CompletedCountsMatchOnTable1Rows) {
     EXPECT_EQ(t.completed, r.completed) << w.name;
     EXPECT_EQ(t.protocol_errors, 0u) << w.name << "\n" << t.first_violations;
     EXPECT_EQ(r.protocol_errors, 0u) << w.name << "\n" << r.first_violations;
+    ASSERT_EQ(t.profile.masters.size(), w.config.masters.size()) << w.name;
+    ASSERT_EQ(r.profile.masters.size(), w.config.masters.size()) << w.name;
+    for (std::size_t m = 0; m < w.config.masters.size(); ++m) {
+      const auto& tm = t.profile.masters[m];
+      const auto& rm = r.profile.masters[m];
+      EXPECT_EQ(tm.reads, rm.reads) << w.name << " master " << m;
+      EXPECT_EQ(tm.writes, rm.writes) << w.name << " master " << m;
+      EXPECT_EQ(tm.bytes_read, rm.bytes_read) << w.name << " master " << m;
+      EXPECT_EQ(tm.bytes_written, rm.bytes_written)
+          << w.name << " master " << m;
+    }
   }
 }
 

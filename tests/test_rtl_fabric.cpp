@@ -8,9 +8,12 @@
 #include <array>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
+#include "core/checkpoint.hpp"
 #include "core/platform.hpp"
+#include "core/workloads.hpp"
 #include "rtl/bitlevel.hpp"
 #include "rtl/fabric.hpp"
 #include "scenario/registry.hpp"
@@ -280,6 +283,27 @@ TEST(RtlFabric, VcdOccupancyWireFitsDeepWriteBuffer) {
   EXPECT_EQ(width, 5u);
   EXPECT_EQ(max_dumped, 16u);
   EXPECT_EQ(max_dumped, fabric.profile().write_buffer.occupancy.max());
+}
+
+TEST(RtlFabric, PlatformVcdDumpsTheRtlModelOnly) {
+  // The path `ahbp_sim run --vcd` takes: the Platform forwards the dump to
+  // its fabric, and refuses it for the TLM, which has no signals.
+  const core::PlatformConfig cfg = core::default_platform(2, 5, 12);
+  core::Platform rtl(cfg, core::ModelKind::kRtl);
+  std::ostringstream vcd;
+  rtl.enable_vcd(vcd);
+  rtl.run_to_completion();
+  EXPECT_TRUE(rtl.result().finished);
+  EXPECT_EQ(rtl.result().protocol_errors, 0u);
+  const std::string text = vcd.str();
+  EXPECT_NE(text.find("$timescale"), std::string::npos);
+  EXPECT_NE(text.find("hgrant"), std::string::npos);
+  EXPECT_NE(text.find("\n#"), std::string::npos);
+
+  core::Platform tlm(cfg, core::ModelKind::kTlm);
+  std::ostringstream unused;
+  EXPECT_THROW(tlm.enable_vcd(unused), std::logic_error);
+  EXPECT_TRUE(unused.str().empty());
 }
 
 TEST(RtlFabric, DetailLayerInstantiatesFullRegisterPopulation) {
