@@ -13,9 +13,12 @@
 //
 // Usage: bench_speed [items-per-master] [json-path]
 
+#include <algorithm>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "bench_args.hpp"
 #include "core/checkpoint.hpp"
@@ -27,17 +30,46 @@
 
 namespace {
 
-ahbp::core::SimResult best_of(unsigned reps,
-                              const ahbp::core::PlatformConfig& cfg,
-                              bool rtl) {
-  ahbp::core::SimResult best;
-  for (unsigned i = 0; i < reps; ++i) {
-    auto r = rtl ? ahbp::core::run_rtl(cfg) : ahbp::core::run_tlm(cfg);
-    if (i == 0 || r.wall_seconds < best.wall_seconds) {
-      best = std::move(r);
+/// Timed runs per row.  A best-of-3 row moved by up to ±30% between runs
+/// on a shared host; the median of 5 is steadier and is written with the
+/// min and IQR of its runs.
+constexpr unsigned kReps = 5;
+
+/// One row: a config and its timed runs, sorted by throughput once
+/// measured.  With 5 runs the median is run 2 and the linearly
+/// interpolated quartiles fall exactly on runs 1 and 3.
+struct Row {
+  Row(const ahbp::core::PlatformConfig& c, bool r) : cfg(&c), rtl(r) {}
+
+  const ahbp::core::PlatformConfig* cfg;
+  bool rtl;
+  std::vector<ahbp::core::SimResult> runs;
+
+  const ahbp::core::SimResult& median() const { return runs[2]; }
+  double kcps(std::size_t i) const {
+    return ahbp::core::kcycles_per_sec(runs[i]);
+  }
+  double iqr() const { return kcps(3) - kcps(1); }
+};
+static_assert(kReps == 5, "Row picks its median and quartiles for 5 runs");
+
+/// Time every row kReps times, round-robin: a host slowdown lasting a few
+/// seconds then costs every row a little instead of sinking one, which
+/// is what the gate's cross-row normalisation needs.
+void measure(std::initializer_list<Row*> rows) {
+  for (unsigned i = 0; i < kReps; ++i) {
+    for (Row* row : rows) {
+      row->runs.push_back(row->rtl ? ahbp::core::run_rtl(*row->cfg)
+                                   : ahbp::core::run_tlm(*row->cfg));
     }
   }
-  return best;
+  for (Row* row : rows) {
+    std::sort(row->runs.begin(), row->runs.end(),
+              [](const auto& a, const auto& b) {
+                return ahbp::core::kcycles_per_sec(a) <
+                       ahbp::core::kcycles_per_sec(b);
+              });
+  }
 }
 
 /// The measurement config: checkers off, a cycle cap far out of reach.
@@ -48,7 +80,7 @@ ahbp::core::PlatformConfig measured(ahbp::core::PlatformConfig cfg) {
 }
 
 /// One instrumented run per model: a *separate* platform from the timed
-/// best-of runs above (the ScopedTimer pairs would distort them), giving
+/// runs above (the ScopedTimer pairs would distort them), giving
 /// the per-component wall-clock breakdown BENCH_SPEED.json records.
 ahbp::obs::SelfProfiler profile_model(const ahbp::core::PlatformConfig& cfg,
                                       ahbp::core::ModelKind kind) {
@@ -59,22 +91,27 @@ ahbp::obs::SelfProfiler profile_model(const ahbp::core::PlatformConfig& cfg,
   return sp;
 }
 
-void model_json(ahbp::obs::JsonWriter& j, const char* key,
-                const ahbp::core::SimResult& r) {
+void model_json(ahbp::obs::JsonWriter& j, const char* key, const Row& row) {
+  const ahbp::core::SimResult& r = row.median();
   j.key(key)
       .begin_object()
       .member("kcycles_per_sec", ahbp::core::kcycles_per_sec(r))
+      .member("reps", kReps)
+      .member("kcycles_per_sec_min", row.kcps(0))
+      .member("kcycles_per_sec_iqr", row.iqr())
       .member("cycles", static_cast<std::uint64_t>(r.ran_cycles))
       .member("wall_seconds", r.wall_seconds)
       .member("kernel_activity", r.kernel_activity)
       .end_object();
 }
 
-void add_row(ahbp::stats::TextTable& t, const char* label,
-             const ahbp::core::SimResult& r, const char* activity_unit) {
+void add_row(ahbp::stats::TextTable& t, const char* label, const Row& row,
+             const char* activity_unit) {
   using ahbp::stats::fmt_double;
+  const ahbp::core::SimResult& r = row.median();
   t.add_row({label, fmt_double(ahbp::core::kcycles_per_sec(r), 1),
-             std::to_string(r.ran_cycles), fmt_double(r.wall_seconds, 3),
+             fmt_double(row.iqr(), 1), std::to_string(r.ran_cycles),
+             fmt_double(r.wall_seconds, 3),
              fmt_double(static_cast<double>(r.kernel_activity) /
                             static_cast<double>(r.ran_cycles),
                         2) +
@@ -106,7 +143,8 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Simulation speed (paper §4) ===\n"
             << "    workload: Table-1 'cpu-1' mix, " << items
-            << " txns/master, checkers off (measurement config)\n\n";
+            << " txns/master, checkers off (measurement config),"
+               " median of " << kReps << " runs per row\n\n";
 
   const auto cfg = measured(core::table1_workloads(items, 3)[0].config);
   const auto single =
@@ -118,16 +156,15 @@ int main(int argc, char** argv) {
   const auto rt_cfg =
       measured(core::table1_workloads(items, 3)[10].config);  // rt-3
 
-  const auto rtl = best_of(3, cfg, true);
-  const auto tlm = best_of(3, cfg, false);
-  const auto tlm1 = best_of(3, single, false);
-  const auto tlm_rt = best_of(3, rt_cfg, false);
+  Row rtl(cfg, true), tlm(cfg, false), tlm1(single, false),
+      tlm_rt(rt_cfg, false);
+  measure({&rtl, &tlm, &tlm1, &tlm_rt});
 
-  const double rtl_k = core::kcycles_per_sec(rtl);
-  const double tlm_k = core::kcycles_per_sec(tlm);
-  const double tlm1_k = core::kcycles_per_sec(tlm1);
+  const double rtl_k = core::kcycles_per_sec(rtl.median());
+  const double tlm_k = core::kcycles_per_sec(tlm.median());
+  const double tlm1_k = core::kcycles_per_sec(tlm1.median());
 
-  stats::TextTable t({"model", "Kcycles/s", "cycles", "wall s",
+  stats::TextTable t({"model", "Kcycles/s", "IQR", "cycles", "wall s",
                       "kernel activity / cycle"});
   add_row(t, "signal-level reference", rtl, " delta rounds");
   add_row(t, "AHB+ TLM (4 masters)", tlm, " component evals");
@@ -144,7 +181,7 @@ int main(int argc, char** argv) {
             << "x over loaded TLM (paper: 456 vs 166 Kcycles/s = 2.75x)\n";
 
   // Where the simulators' own time goes, from separate instrumented runs
-  // (instrumentation would distort the timed best-of numbers above).
+  // (instrumentation would distort the timed numbers above).
   const obs::SelfProfiler tlm_prof = profile_model(cfg, core::ModelKind::kTlm);
   const obs::SelfProfiler rtl_prof = profile_model(cfg, core::ModelKind::kRtl);
 

@@ -3,13 +3,11 @@
 //
 // The capture→replay loop turns a synthetic Table-1 preset into per-master
 // trace files and feeds them back through `pattern = trace`.  This bench
-// pins the stages against each other — synthetic expansion, save_trace /
-// save_trace_bin serialization, load_trace / load_trace_bin parsing — in
-// transactions/sec, and cross-checks that full TLM replay runs from both
-// formats reproduce the synthetic run's cycle count exactly (the
-// equivalence the closed-loop tests gate).  Writes BENCH_TRACE.json so
-// the stimulus-path trajectory (and the binary format's speedup over
-// text) is tracked across PRs.
+// pins the stages against each other — synthetic expansion, save_trace
+// serialization, load_trace parsing — in transactions/sec, and
+// cross-checks that a full TLM replay reproduces the synthetic run's cycle
+// count exactly (the equivalence the closed-loop tests gate).  Writes
+// BENCH_TRACE.json so the stimulus-path trajectory is tracked.
 //
 // Usage: bench_trace [items-per-master] [repeats]
 
@@ -27,7 +25,6 @@
 #include "stats/report.hpp"
 #include "traffic/stimulus.hpp"
 #include "traffic/trace.hpp"
-#include "traffic/trace_bin.hpp"
 
 constexpr char kUsage[] = "bench_trace [items-per-master] [repeats]";
 
@@ -81,44 +78,23 @@ int main(int argc, char** argv) {
   }
   const double load_s = best_of([&] { core::expand_stimulus(replay); });
 
-  // --- stages 4/5: the binary sibling (save_trace_bin / load_trace_bin) ---
-  std::vector<std::string> bins(scripts.size());
-  const double bin_save_s = best_of([&] {
-    for (std::size_t m = 0; m < scripts.size(); ++m) {
-      bins[m] = traffic::trace_bin_bytes(scripts[m]);
-    }
-  });
-  core::PlatformConfig bin_replay = cfg;
-  for (std::size_t m = 0; m < bin_replay.masters.size(); ++m) {
-    auto& spec = bin_replay.masters[m].traffic;
-    spec.source = traffic::StimulusSource::kTrace;
-    spec.trace_text = bins[m];
-  }
-  const double bin_load_s = best_of([&] { core::expand_stimulus(bin_replay); });
-
   std::uint64_t trace_bytes = 0;
   for (const std::string& t : texts) {
     trace_bytes += t.size();
-  }
-  std::uint64_t bin_bytes = 0;
-  for (const std::string& b : bins) {
-    bin_bytes += b.size();
   }
 
   // --- cross-check: replay runs must land on the synthetic cycle count ---
   // (equality of outcome, not completion: a million-transaction workload
   // legitimately hits the cycle cap — the replay must hit it identically)
   const core::SimResult synth_run = core::run_tlm(cfg);
-  for (const auto* r : {&replay, &bin_replay}) {
-    const core::SimResult replay_run = core::run_tlm(*r);
-    if (synth_run.finished != replay_run.finished ||
-        synth_run.cycles != replay_run.cycles ||
-        synth_run.completed != replay_run.completed) {
-      std::cerr << "replay diverged: synthetic " << synth_run.cycles
-                << " cycles / " << synth_run.completed << " txns vs replay "
-                << replay_run.cycles << " / " << replay_run.completed << "\n";
-      return 1;
-    }
+  const core::SimResult replay_run = core::run_tlm(replay);
+  if (synth_run.finished != replay_run.finished ||
+      synth_run.cycles != replay_run.cycles ||
+      synth_run.completed != replay_run.completed) {
+    std::cerr << "replay diverged: synthetic " << synth_run.cycles
+              << " cycles / " << synth_run.completed << " txns vs replay "
+              << replay_run.cycles << " / " << replay_run.completed << "\n";
+    return 1;
   }
 
   const double txns = static_cast<double>(total_txns);
@@ -131,18 +107,12 @@ int main(int argc, char** argv) {
                    stats::fmt_double(txns / s, 0)});
   };
   row("synthetic expansion", synth_s);
-  row("save_trace (text)", save_s);
-  row("load_trace (text replay)", load_s);
-  row("save_trace_bin", bin_save_s);
-  row("load_trace_bin (bin replay)", bin_load_s);
+  row("save_trace", save_s);
+  row("load_trace (replay)", load_s);
   table.print(std::cout);
   std::cout << "\ntrace size: text " << trace_bytes << " bytes ("
             << stats::fmt_double(static_cast<double>(trace_bytes) / txns, 1)
-            << " bytes/txn), binary " << bin_bytes << " bytes ("
-            << stats::fmt_double(static_cast<double>(bin_bytes) / txns, 1)
-            << " bytes/txn)\nbinary load speedup over text: "
-            << stats::fmt_double(load_s / bin_load_s, 1)
-            << "x; both replays == synthetic at " << synth_run.cycles
+            << " bytes/txn); replay == synthetic at " << synth_run.cycles
             << " cycles\n";
 
   std::ofstream json("BENCH_TRACE.json");
@@ -156,10 +126,6 @@ int main(int argc, char** argv) {
         .member("synthetic_expand_txns_per_sec", txns / synth_s)
         .member("save_trace_txns_per_sec", txns / save_s)
         .member("load_trace_txns_per_sec", txns / load_s)
-        .member("trace_bin_bytes", bin_bytes)
-        .member("save_trace_bin_txns_per_sec", txns / bin_save_s)
-        .member("load_trace_bin_txns_per_sec", txns / bin_load_s)
-        .member("bin_vs_text_load", load_s / bin_load_s)
         .member("replay_vs_synthetic_expand", synth_s / load_s)
         .member("replay_cycles_equal", true)
         .end_object();

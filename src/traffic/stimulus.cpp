@@ -7,7 +7,6 @@
 
 #include "assertions/assert.hpp"
 #include "traffic/trace.hpp"
-#include "traffic/trace_bin.hpp"
 
 namespace ahbp::traffic {
 
@@ -81,15 +80,7 @@ Script expand_stimulus(const StimulusSpec& spec, ahb::MasterId master,
 
   Script script;
   try {
-    // Format auto-detection: binary traces announce themselves with the
-    // magic prefix (trace_bin.hpp); anything else is the text format.
-    // Works identically for file-resolved and checkpoint-embedded bytes.
-    if (is_trace_bin(*text)) {
-      script = load_trace_bin(*text, master);
-    } else {
-      std::istringstream is(*text);
-      script = load_trace(is, master);
-    }
+    script = load_trace(*text, master);
   } catch (const std::runtime_error& e) {
     throw std::runtime_error(origin + ": " + e.what());
   }

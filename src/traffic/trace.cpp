@@ -1,9 +1,12 @@
 #include "traffic/trace.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <istream>
+#include <iterator>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace ahbp::traffic {
 
@@ -11,7 +14,7 @@ std::string burst_token(ahb::Burst b) {
   return std::string(ahb::to_string(b));
 }
 
-ahb::Burst parse_burst(const std::string& token) {
+ahb::Burst parse_burst(std::string_view token) {
   static constexpr ahb::Burst kAll[] = {
       ahb::Burst::kSingle, ahb::Burst::kIncr,   ahb::Burst::kWrap4,
       ahb::Burst::kIncr4,  ahb::Burst::kWrap8,  ahb::Burst::kIncr8,
@@ -22,7 +25,8 @@ ahb::Burst parse_burst(const std::string& token) {
       return b;
     }
   }
-  throw std::runtime_error("unknown burst kind '" + token + "'");
+  throw std::runtime_error("unknown burst kind '" + std::string(token) +
+                           "'");
 }
 
 namespace {
@@ -34,52 +38,67 @@ ahb::Size size_from_bytes(unsigned bytes) {
   return ahb::size_for_bytes(bytes);
 }
 
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream ls(line);
-  std::string tok;
-  while (ls >> tok) {
-    out.push_back(std::move(tok));
+/// The token separators: exactly what `std::istream >>` skips in the
+/// classic locale, so a '\r' from a CRLF file is whitespace.
+constexpr bool is_space(char c) noexcept {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+/// Split `line` at whitespace into views of it.  `out` is cleared first
+/// and reused line after line, so steady-state parsing never allocates.
+void tokenize(std::string_view line, std::vector<std::string_view>& out) {
+  out.clear();
+  std::size_t i = 0;
+  for (;;) {
+    while (i < line.size() && is_space(line[i])) {
+      ++i;
+    }
+    if (i == line.size()) {
+      return;
+    }
+    const std::size_t start = i;
+    while (i < line.size() && !is_space(line[i])) {
+      ++i;
+    }
+    out.push_back(line.substr(start, i - start));
+  }
+}
+
+std::uint64_t parse_dec(std::string_view tok, const char* what,
+                        std::uint64_t max = ~std::uint64_t{0}) {
+  if (tok.empty() || !std::all_of(tok.begin(), tok.end(), [](char c) {
+        return c >= '0' && c <= '9';
+      })) {
+    throw std::runtime_error(std::string(what) + " must be a non-negative"
+                             " decimal number, got '" + std::string(tok) +
+                             "'");
+  }
+  std::uint64_t out = 0;
+  const auto [end, ec] =
+      std::from_chars(tok.data(), tok.data() + tok.size(), out);
+  if (ec != std::errc{} || out > max) {
+    throw std::runtime_error(std::string(what) + " out of range: '" +
+                             std::string(tok) + "'");
   }
   return out;
 }
 
-std::uint64_t parse_dec(const std::string& tok, const char* what,
-                        std::uint64_t max = ~std::uint64_t{0}) {
-  if (tok.empty() || tok.find_first_not_of("0123456789") != std::string::npos) {
-    throw std::runtime_error(std::string(what) + " must be a non-negative"
-                             " decimal number, got '" + tok + "'");
-  }
-  try {
-    const std::uint64_t out = std::stoull(tok);
-    if (out > max) {
-      throw std::out_of_range(tok);
-    }
-    return out;
-  } catch (const std::exception&) {
-    throw std::runtime_error(std::string(what) + " out of range: '" + tok +
-                             "'");
-  }
-}
-
 /// Hex field (addresses, write data): bare hex or 0x/0X-prefixed.
-std::uint64_t parse_hex(const std::string& tok, const char* what) {
-  if (tok.empty() || tok[0] == '-' || tok[0] == '+') {
-    // stoull would silently wrap a signed token to a huge value.
-    throw std::runtime_error(std::string(what) + " must be hex, got '" + tok +
-                             "'");
+std::uint64_t parse_hex(std::string_view tok, const char* what) {
+  std::string_view digits = tok;
+  if (digits.size() >= 2 && digits[0] == '0' &&
+      (digits[1] == 'x' || digits[1] == 'X')) {
+    digits.remove_prefix(2);
   }
-  std::size_t pos = 0;
+  // from_chars takes no sign and no prefix, and reports overflow, so a
+  // signed or 2^64+ token can never wrap into a legal-looking value.
   std::uint64_t out = 0;
-  try {
-    out = std::stoull(tok, &pos, 16);  // base 16 itself skips a 0x prefix
-  } catch (const std::exception&) {
-    throw std::runtime_error(std::string(what) + " must be hex, got '" + tok +
-                             "'");
-  }
-  if (pos != tok.size()) {
-    throw std::runtime_error(std::string(what) + " must be hex, got '" + tok +
-                             "'");
+  const char* const last = digits.data() + digits.size();
+  const auto [end, ec] = std::from_chars(digits.data(), last, out, 16);
+  if (digits.empty() || ec != std::errc{} || end != last) {
+    throw std::runtime_error(std::string(what) + " must be hex, got '" +
+                             std::string(tok) + "'");
   }
   return out;
 }
@@ -139,17 +158,22 @@ std::size_t save_trace(std::ostream& os, const Script& script) {
   return script.size();
 }
 
-Script load_trace(std::istream& is, ahb::MasterId master) {
+Script load_trace(std::string_view text, ahb::MasterId master) {
+  // One item per line, but never more than the shortest possible entry
+  // ("0 R 0 1 SINGLE 1\n", 17 bytes) allows: a hostile file of bare
+  // newlines must not reserve a hundred times its own size.
   Script script;
-  std::string line;
+  script.reserve(std::min<std::size_t>(
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')),
+      text.size() / 17));
+  std::vector<std::string_view> tok;
   std::size_t lineno = 0;
-  while (std::getline(is, line)) {
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t eol = std::min(text.find('\n', pos), text.size());
+    std::string_view line = text.substr(pos, eol - pos);
+    pos = eol + 1;
     ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) {
-      line.resize(hash);
-    }
-    const std::vector<std::string> tok = tokenize(line);
+    tokenize(line.substr(0, line.find('#')), tok);
     if (tok.empty()) {
       continue;  // blank / comment-only line
     }
@@ -167,7 +191,8 @@ Script load_trace(std::istream& is, ahb::MasterId master) {
       } else if (tok[1] == "W") {
         t.dir = ahb::Dir::kWrite;
       } else {
-        throw std::runtime_error("dir must be R or W, got '" + tok[1] + "'");
+        throw std::runtime_error("dir must be R or W, got '" +
+                                 std::string(tok[1]) + "'");
       }
       t.addr = parse_hex(tok[2], "address");
       // Explicit ceilings before narrowing: a 2^32+n value must error, not
@@ -189,7 +214,8 @@ Script load_trace(std::istream& is, ahb::MasterId master) {
             " data word(s) given)");
       }
       if (tok.size() > expect) {
-        throw std::runtime_error("trailing garbage '" + tok[expect] + "'");
+        throw std::runtime_error("trailing garbage '" +
+                                 std::string(tok[expect]) + "'");
       }
       if (t.dir == ahb::Dir::kWrite) {
         t.data.resize(t.beats);
@@ -209,6 +235,12 @@ Script load_trace(std::istream& is, ahb::MasterId master) {
     }
   }
   return script;
+}
+
+Script load_trace(std::istream& is, ahb::MasterId master) {
+  const std::string text{std::istreambuf_iterator<char>(is),
+                         std::istreambuf_iterator<char>()};
+  return load_trace(text, master);
 }
 
 }  // namespace ahbp::traffic

@@ -2,6 +2,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "traffic/generator.hpp"
 
@@ -28,12 +29,16 @@ namespace ahbp::traffic {
 /// Write a script as a trace.  Returns the number of transactions written.
 std::size_t save_trace(std::ostream& os, const Script& script);
 
-/// Parse a trace.  Throws std::runtime_error with a line number on any
-/// malformed or structurally invalid entry.  `master` stamps ownership.
+/// Parse a trace in one pass over `text`.  Throws std::runtime_error
+/// ("trace line N: ...") on any malformed or structurally invalid entry.
+/// `master` stamps ownership; ids are 1-based positions.
+Script load_trace(std::string_view text, ahb::MasterId master);
+
+/// load_trace over the rest of `is`.
 Script load_trace(std::istream& is, ahb::MasterId master);
 
 /// Burst kind <-> trace token ("SINGLE", "INCR4", ...).
 std::string burst_token(ahb::Burst b);
-ahb::Burst parse_burst(const std::string& token);
+ahb::Burst parse_burst(std::string_view token);
 
 }  // namespace ahbp::traffic

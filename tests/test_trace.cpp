@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
+#include "core/checkpoint.hpp"
 #include "core/platform.hpp"
 #include "core/workloads.hpp"
+#include "scenario/registry.hpp"
 #include "traffic/trace.hpp"
-#include "traffic/trace_bin.hpp"
 
 namespace {
 
@@ -283,11 +285,10 @@ TEST(Trace, CrlfLineEndingsParse) {
   }
 }
 
-TEST(Trace, RandomizedScriptsRoundTripBothFormats) {
+TEST(Trace, RandomizedScriptsRoundTrip) {
   // Property-style sweep: randomized valid scripts (every archetype, every
   // bus width, varied shapes seeded through the deterministic traffic RNG)
-  // must survive save->load->save as the identity in BOTH formats, and the
-  // two formats must agree on the loaded script.
+  // must survive save->load->save as the identity.
   const PatternKind kinds[] = {PatternKind::kCpu, PatternKind::kDma,
                                PatternKind::kRtStream, PatternKind::kRandom};
   const unsigned widths[] = {1, 2, 4, 8};
@@ -305,31 +306,100 @@ TEST(Trace, RandomizedScriptsRoundTripBothFormats) {
     const Script script = make_script(cfg, master);
     const std::string what = "round " + std::to_string(round);
 
-    // Text identity.
     std::stringstream text1;
     save_trace(text1, script);
     const Script from_text = load_trace(text1, master);
     std::ostringstream text2;
     save_trace(text2, from_text);
     EXPECT_EQ(text2.str(), text1.str()) << what;
+  }
+}
 
-    // Binary identity.
-    const std::string bin1 = trace_bin_bytes(script);
-    const Script from_bin = load_trace_bin(bin1, master);
-    EXPECT_EQ(trace_bin_bytes(from_bin), bin1) << what;
-
-    // Cross-format agreement, field by field.
-    ASSERT_EQ(from_bin.size(), from_text.size()) << what;
-    for (std::size_t i = 0; i < from_bin.size(); ++i) {
-      EXPECT_EQ(from_bin[i].gap, from_text[i].gap) << what << " item " << i;
-      EXPECT_EQ(from_bin[i].txn.id, from_text[i].txn.id) << what;
-      EXPECT_EQ(from_bin[i].txn.addr, from_text[i].txn.addr) << what;
-      EXPECT_EQ(from_bin[i].txn.size, from_text[i].txn.size) << what;
-      EXPECT_EQ(from_bin[i].txn.burst, from_text[i].txn.burst) << what;
-      EXPECT_EQ(from_bin[i].txn.beats, from_text[i].txn.beats) << what;
-      EXPECT_EQ(from_bin[i].txn.data, from_text[i].txn.data) << what;
+TEST(Trace, OverlongWriteLineIsTrailingGarbage) {
+  // beats caps at 1024, so a write line holds at most 6 + 1024 tokens; any
+  // token past that is trailing garbage, however many follow it.
+  for (const unsigned extra : {1u, 2u, 500u}) {
+    std::string line = "0 W 0 1 INCR 1024";
+    for (unsigned i = 0; i < 1024 + extra; ++i) {
+      line += ' ';
+      line += std::to_string(i % 256);
+    }
+    try {
+      load_trace(line + "\n", 0);
+      FAIL() << "should have thrown (" << extra << " extra)";
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("trace line 1: trailing garbage '0'"),
+                std::string::npos)
+          << msg;
     }
   }
+}
+
+TEST(Trace, HostileBytesNeverYieldInvalidTransactions) {
+  // Seeded mutations of a real capture: every load either yields a script
+  // of structurally valid transactions or throws a line-numbered error.
+  const core::PlatformConfig cfg =
+      scenario::ScenarioRegistry::builtin().build("table1/rt-1", 40);
+  core::Platform p(cfg, core::ModelKind::kTlm);
+  p.enable_capture();
+  p.run_to_completion();
+  std::ostringstream capture;
+  for (std::size_t m = 0; m < cfg.masters.size(); ++m) {
+    save_trace(capture, p.capture(static_cast<ahb::MasterId>(m)).captured());
+  }
+  const std::string original = capture.str();
+  ASSERT_EQ(load_trace(original, 0).size(), 4u * 40u);
+
+  TrafficRng rng(0xBADB17E5, 0);
+  const auto at = [&](const std::string& s) {
+    return static_cast<std::size_t>(rng() % (s.size() + 1));
+  };
+  unsigned loaded = 0;
+  for (unsigned round = 0; round < 2000; ++round) {
+    std::string text = original;
+    for (unsigned edits = 1 + static_cast<unsigned>(rng() % 3); edits > 0;
+         --edits) {
+      const std::size_t pos = at(text);
+      switch (rng() % 5) {
+        case 0:  // bit flip
+          if (pos < text.size()) {
+            text[pos] = static_cast<char>(text[pos] ^ (1 << (rng() % 8)));
+          }
+          break;
+        case 1:  // truncation
+          text.resize(pos);
+          break;
+        case 2:  // deletion of a short run
+          text.erase(pos, 1 + rng() % 8);
+          break;
+        case 3:  // NUL or 0xFF byte
+          text.insert(pos, 1, rng() % 2 == 0 ? '\0' : '\xff');
+          break;
+        default: {  // 64-digit number splice
+          std::string digits(64, '0');
+          for (char& c : digits) {
+            c = "0123456789abcdef"[rng() % (rng() % 2 == 0 ? 10 : 16)];
+          }
+          text.insert(pos, digits);
+          break;
+        }
+      }
+    }
+    try {
+      const Script script = load_trace(text, 1);
+      for (const TrafficItem& item : script) {
+        ASSERT_TRUE(ahb::structurally_valid(item.txn)) << "round " << round;
+      }
+      ++loaded;
+    } catch (const std::runtime_error& e) {
+      ASSERT_NE(std::string(e.what()).find("trace line"), std::string::npos)
+          << "round " << round << ": " << e.what();
+    }
+  }
+  // Both outcomes occur: the mutations neither all miss nor all hit.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_LT(loaded, 2000u);
 }
 
 TEST(Trace, ReplayMatchesOriginalRun) {

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -30,7 +31,6 @@
 #include "state/snapshot.hpp"
 #include "traffic/stimulus.hpp"
 #include "traffic/trace.hpp"
-#include "traffic/trace_bin.hpp"
 
 namespace {
 
@@ -300,98 +300,101 @@ TEST(TraceReplay, TraceOutsideApertureRejected) {
   EXPECT_THROW(core::expand_stimulus(cfg), std::runtime_error);
 }
 
-TEST(TraceReplay, BinaryCaptureReplaysBitExactlyOnBothModels) {
-  // The binary format closes the same loop as the text format: feed a
-  // capture back as binary trace_text (auto-detected by magic) and both
-  // models reproduce the original cycles, and a re-capture of the replay
-  // reproduces the capture bit-exactly, gaps included.
-  const core::Workload row = core::table1_workloads(kItems)[8];  // rt-1
-  for (const core::ModelKind model :
-       {core::ModelKind::kTlm, core::ModelKind::kRtl}) {
-    const auto [orig, captured] = run_captured(row.config, model);
-    ASSERT_TRUE(orig.finished);
-
-    core::PlatformConfig replay = row.config;
-    for (std::size_t m = 0; m < replay.masters.size(); ++m) {
-      traffic::StimulusSpec& spec = replay.masters[m].traffic;
-      spec.source = traffic::StimulusSource::kTrace;
-      spec.trace_path.clear();
-      spec.trace_text = traffic::trace_bin_bytes(captured[m]);
-    }
-    const auto [replayed, recaptured] = run_captured(replay, model);
-    EXPECT_EQ(replayed.cycles, orig.cycles)
-        << core::to_string(model);
-    EXPECT_EQ(replayed.completed, orig.completed);
-    for (std::size_t m = 0; m < captured.size(); ++m) {
-      expect_stream_equal(recaptured[m], captured[m],
-                          std::string(core::to_string(model)) +
-                              " bin replay m" + std::to_string(m),
-                          /*compare_gaps=*/true);
-    }
+/// Run `ahbp_sim <args>`; returns (exit code, stdout + stderr).  A crash
+/// (no normal exit) reports -1.
+std::pair<int, std::string> run_cli(const std::string& args) {
+  const std::string cmd = std::string(AHBP_SIM_EXE) + " " + args + " 2>&1";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) {
+    return {-1, "popen failed"};
   }
+  std::string out;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, pipe)) > 0;) {
+    out.append(buf, n);
+  }
+  const int status = ::pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
 }
 
-TEST(TraceReplay, BinaryTraceCheckpointSurvivesFileDeletion) {
-  // Same self-describing-snapshot contract as the text-trace test, with
-  // the parked files in the binary format: the checkpoint embeds the
-  // binary bytes intact and the resume auto-detects them.
-  const core::Workload row = core::table1_workloads(kItems)[4];  // dma-1
-  for (const core::ModelKind model :
-       {core::ModelKind::kTlm, core::ModelKind::kRtl}) {
-    const auto [orig, captured] = run_captured(row.config, model);
-
-    core::PlatformConfig cfg = row.config;
-    std::vector<std::string> paths;
-    for (std::size_t m = 0; m < cfg.masters.size(); ++m) {
-      const std::string path = "trace_replay_bin_ckpt_m" + std::to_string(m) +
-                               "." + std::string(core::to_string(model)) +
-                               ".trace";
-      std::ofstream os(path, std::ios::binary);
-      ASSERT_TRUE(os) << path;
-      traffic::save_trace_bin(os, captured[m]);
-      paths.push_back(path);
-      traffic::StimulusSpec& spec = cfg.masters[m].traffic;
-      spec.source = traffic::StimulusSource::kTrace;
-      spec.trace_path = path;
-      spec.trace_text.clear();
-    }
-
-    core::Platform straight(cfg, model);
-    straight.run_to_completion();
-    const core::SimResult expect = straight.result();
-    EXPECT_EQ(expect.cycles, orig.cycles);
-
-    core::Platform warm(cfg, model);
-    warm.run(expect.ran_cycles / 2 + 1);
-    ASSERT_FALSE(warm.finished());
-    state::StateWriter w;
-    core::write_checkpoint(w, warm, scenario::serialize(cfg));
-    const std::vector<std::uint8_t> bytes = w.finish();
-
-    for (const std::string& path : paths) {
-      std::remove(path.c_str());
-    }
-
-    state::StateReader r(bytes.data(), bytes.size());
-    const core::CheckpointInfo info = core::read_checkpoint_header(r);
-    ASSERT_EQ(info.traces.size(), cfg.masters.size());
-    // The embedded payloads are the binary images, carried intact.
-    for (const auto& [master, text] : info.traces) {
-      EXPECT_TRUE(traffic::is_trace_bin(text)) << master;
-    }
-    core::PlatformConfig resumed_cfg = scenario::parse(info.scenario_text);
-    core::apply_embedded_traces(resumed_cfg, info);
-    core::Platform fork(resumed_cfg, model);
-    fork.restore_state(r);
-    fork.run_to_completion();
-    const core::SimResult resumed = fork.result();
-
-    EXPECT_EQ(resumed.finished, expect.finished);
-    EXPECT_EQ(resumed.cycles, expect.cycles);
-    EXPECT_EQ(resumed.ran_cycles, expect.ran_cycles);
-    EXPECT_EQ(resumed.completed, expect.completed);
-    EXPECT_EQ(resumed.protocol_errors, expect.protocol_errors);
+std::size_t count_of(const std::string& hay, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = hay.find(needle); at != std::string::npos;
+       at = hay.find(needle, at + 1)) {
+    ++n;
   }
+  return n;
+}
+
+TEST(TraceReplay, RetiredBinaryImageFailsCleanly) {
+  // Binary trace images ("\x89AHBPTRC", version 1, one read record) are no
+  // longer a trace format.  Whether they arrive as a trace file or inside
+  // a checkpoint, run, resume and lint must report one line-numbered trace
+  // error for the master and exit nonzero.
+  std::string image("\x89" "AHBPTRC", 8);
+  const auto put = [&](std::uint64_t v, unsigned bytes) {
+    for (unsigned i = 0; i < bytes; ++i) {
+      image += static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+  };
+  put(1, 4);       // version
+  put(0, 4);       // reserved
+  put(1, 8);       // records
+  put(0, 8);       // no index
+  put(24, 8);      // payload bytes
+  put(0, 8);       // record: gap
+  put(0x100, 8);   //         addr
+  put(0x200, 4);   //         dir R, size word, burst SINGLE, flags 0
+  put(1, 4);       //         beats
+
+  namespace fs = std::filesystem;
+  const std::string trace = fs::absolute("trace_replay_retired.trace");
+  const std::string scn = fs::absolute("trace_replay_retired.scenario");
+  const std::string ckpt = fs::absolute("trace_replay_retired.ckpt");
+  {
+    std::ofstream os(trace, std::ios::binary);
+    os << image;
+  }
+  core::PlatformConfig cfg = core::default_platform(2, 3, kItems);
+  traffic::StimulusSpec& spec = cfg.masters[1].traffic;
+  spec.source = traffic::StimulusSource::kTrace;
+  spec.trace_path = trace;
+  {
+    std::ofstream os(scn);
+    os << scenario::serialize(cfg);
+  }
+  // The checkpoint embeds the image for master 1 next to the state of a
+  // platform that replays a valid trace.
+  {
+    core::PlatformConfig valid = cfg;
+    valid.masters[1].traffic.trace_path.clear();
+    valid.masters[1].traffic.trace_text = "0 R 100 4 SINGLE 1\n";
+    core::Platform warm(valid, core::ModelKind::kTlm);
+    warm.run(10);
+    state::StateWriter w;
+    w.begin("checkpoint");
+    w.put_str("tlm");
+    w.put_u64(warm.now());
+    w.put_str(scenario::serialize(cfg));
+    w.put_u64(1);
+    w.put_u64(1);
+    w.put_str(image);
+    w.end();
+    warm.save_state(w);
+    w.write_file(ckpt);
+  }
+
+  const std::string error = "master 1 trace '" + trace + "': trace line 1: ";
+  for (const std::string& args :
+       {"run " + scn, "resume " + ckpt, "lint " + scn}) {
+    const auto [code, out] = run_cli(args);
+    EXPECT_GT(code, 0) << args << "\n" << out;
+    EXPECT_EQ(count_of(out, "trace line"), 1u) << args << "\n" << out;
+    EXPECT_NE(out.find(error), std::string::npos) << args << "\n" << out;
+  }
+  std::remove(trace.c_str());
+  std::remove(scn.c_str());
+  std::remove(ckpt.c_str());
 }
 
 TEST(TraceReplay, DirectoryTracePathRejected) {

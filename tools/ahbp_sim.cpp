@@ -20,9 +20,7 @@
 //                         [--sensitivity]
 //   ahbp_sim lint <scenario|sweep> [--warmup-cycles N] [--strict]
 //   ahbp_sim trace info <file>
-//   ahbp_sim trace convert <file> --out FILE [--to text|bin]
 //   ahbp_sim trace slice <file> --out FILE --first N [--count K]
-//                               [--to text|bin]
 
 #include <algorithm>
 #include <cmath>
@@ -32,9 +30,7 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
-#include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -49,8 +45,8 @@
 #include "sweep/analyze.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/spec.hpp"
+#include "traffic/stimulus.hpp"
 #include "traffic/trace.hpp"
-#include "traffic/trace_bin.hpp"
 
 namespace {
 
@@ -72,10 +68,6 @@ int usage(std::ostream& os, int code) {
         "                            to DIR/masterK.trace + a ready-to-run\n"
         "                            DIR/replay.scenario (single model"
         " only)\n"
-        "      --trace-format F      capture trace format: text (default,\n"
-        "                            greppable) or bin (seekable, ~10x"
-        " faster\n"
-        "                            to load; replay auto-detects either)\n"
         "      --csv                 machine-readable per-master report\n"
         "      --quiet               summary line only\n"
         "      --timeline FILE       write a Chrome-trace-event timeline\n"
@@ -126,19 +118,11 @@ int usage(std::ostream& os, int code) {
         "                            demote points to cold runs or cannot"
         " fork)\n"
         "      --strict              exit nonzero on warnings too\n"
-        "  trace <action> <file>     inspect / transform a recorded trace\n"
-        "                            (text or binary — detected by magic):\n"
-        "      info                  header + per-record summary\n"
-        "      convert               rewrite as the other format (or --to"
-        " F);\n"
-        "                            needs --out FILE\n"
-        "      slice                 extract records [--first N, +--count"
-        " K);\n"
-        "                            binary inputs seek via the record"
-        " index\n"
-        "                            instead of parsing the prefix; needs\n"
-        "                            --out FILE (--to F overrides the"
-        " format)\n"
+        "  trace <action> <file>     inspect / cut a recorded trace:\n"
+        "      info                  record, beat, gap and address summary\n"
+        "      slice                 write records [--first N, +--count K)\n"
+        "                            as a standalone trace; needs --out"
+        " FILE\n"
         "\n"
         "<scenario> is a built-in name (see list) or a scenario file path.\n"
         "A master with 'pattern = trace' and 'trace = FILE' replays a\n"
@@ -168,19 +152,14 @@ void print_run(const core::SimResult& r, bool csv, bool quiet) {
   std::cout << "\n";
 }
 
-/// Write `script` to `path` in `format` ("text" or "bin").
-void write_trace_file(const std::string& path, const std::string& format,
+/// Write `script` to `path` as a text trace.
+void write_trace_file(const std::string& path,
                       const traffic::Script& script) {
-  std::ofstream os(path,
-                   format == "bin" ? std::ios::binary : std::ios::out);
+  std::ofstream os(path);
   if (!os) {
     throw std::runtime_error("cannot open '" + path + "' for writing");
   }
-  if (format == "bin") {
-    traffic::save_trace_bin(os, script);
-  } else {
-    traffic::save_trace(os, script);
-  }
+  traffic::save_trace(os, script);
   if (!os) {
     throw std::runtime_error("error writing '" + path + "'");
   }
@@ -188,18 +167,16 @@ void write_trace_file(const std::string& path, const std::string& format,
 
 /// Write every master's captured stream to `dir`/masterK.trace plus a
 /// ready-to-run `dir`/replay.scenario whose masters replay the captures.
-/// `format` picks the trace encoding ("text" or "bin"); replay
-/// auto-detects either, so the scenario is identical in both cases.
 void write_capture_dir(const core::Platform& p,
                        const core::PlatformConfig& cfg,
-                       const std::string& dir, const std::string& format) {
+                       const std::string& dir) {
   namespace fs = std::filesystem;
   fs::create_directories(dir);
   core::PlatformConfig replay = cfg;
   for (std::size_t m = 0; m < cfg.masters.size(); ++m) {
     const std::string path =
         (fs::path(dir) / ("master" + std::to_string(m) + ".trace")).string();
-    write_trace_file(path, format,
+    write_trace_file(path,
                      p.capture(static_cast<ahb::MasterId>(m)).captured());
     traffic::StimulusSpec& spec = replay.masters[m].traffic;
     spec.source = traffic::StimulusSource::kTrace;
@@ -224,7 +201,6 @@ void write_capture_dir(const core::Platform& p,
 core::SimResult run_model(const core::PlatformConfig& cfg,
                           core::ModelKind kind, std::ostream* vcd_os,
                           const std::string& capture_dir,
-                          const std::string& capture_format,
                           obs::Timeline* tl, obs::SelfProfiler* sp,
                           bool progress) {
   core::Platform p(cfg, kind);
@@ -248,7 +224,7 @@ core::SimResult run_model(const core::PlatformConfig& cfg,
     tl->finalize(p.now());
   }
   if (!capture_dir.empty()) {
-    write_capture_dir(p, cfg, capture_dir, capture_format);
+    write_capture_dir(p, cfg, capture_dir);
   }
   return p.result();
 }
@@ -292,8 +268,7 @@ int cmd_show(const std::string& name) {
 
 int cmd_run(const std::string& name, const std::string& model_s,
             unsigned items, std::uint64_t seed, const std::string& vcd_path,
-            const std::string& capture_dir, const std::string& capture_format,
-            bool csv, bool quiet,
+            const std::string& capture_dir, bool csv, bool quiet,
             const std::string& timeline_path,
             const std::string& stats_json_path, bool progress,
             bool self_profile) {
@@ -317,11 +292,6 @@ int cmd_run(const std::string& name, const std::string& model_s,
                  " tlm or rtl (the capture replays in both)\n";
     return 2;
   }
-  if (capture_format != "text" && capture_format != "bin") {
-    std::cerr << "--trace-format must be text or bin, got '" << capture_format
-              << "'\n";
-    return 2;
-  }
 
   // The timeline and the self-profiler are shared across models: one
   // trace file with a "tlm" and an "rtl" process, one phase table with
@@ -334,8 +304,8 @@ int cmd_run(const std::string& name, const std::string& model_s,
   core::SimResult tlm, rtl;
   bool ran_tlm = false, ran_rtl = false;
   if (model != sweep::Model::kRtl) {
-    tlm = run_model(cfg, core::ModelKind::kTlm, nullptr, capture_dir,
-                    capture_format, tl, sp, progress);
+    tlm = run_model(cfg, core::ModelKind::kTlm, nullptr, capture_dir, tl, sp,
+                    progress);
     ran_tlm = true;
     print_run(tlm, csv, quiet);
   }
@@ -350,8 +320,8 @@ int cmd_run(const std::string& name, const std::string& model_s,
       }
       vcd_os = &vcd;
     }
-    rtl = run_model(cfg, core::ModelKind::kRtl, vcd_os, capture_dir,
-                    capture_format, tl, sp, progress);
+    rtl = run_model(cfg, core::ModelKind::kRtl, vcd_os, capture_dir, tl, sp,
+                    progress);
     ran_rtl = true;
     print_run(rtl, csv, quiet);
     if (vcd_os != nullptr) {
@@ -572,49 +542,27 @@ int cmd_sweep(const std::string& path, const std::string& model_s,
   return failures == 0 ? 0 : 1;
 }
 
-/// Load a trace of either format into a Script.  Binary inputs go through
-/// the zero-copy loader; text inputs are parsed from the mapped bytes.
-traffic::Script load_any_trace(std::string_view bytes) {
-  if (traffic::is_trace_bin(bytes)) {
-    return traffic::load_trace_bin(bytes, 0);
-  }
-  std::istringstream is{std::string(bytes)};
-  return traffic::load_trace(is, 0);
-}
-
 int cmd_trace(const std::string& action, const std::string& path,
-              const std::string& out_path, std::string to_format,
-              std::uint64_t first, std::uint64_t count) {
-  if (action != "info" && action != "convert" && action != "slice") {
-    std::cerr << "unknown trace action '" << action
-              << "' (info, convert, slice)\n";
+              const std::string& out_path, std::uint64_t first,
+              std::uint64_t count) {
+  if (action != "info" && action != "slice") {
+    std::cerr << "unknown trace action '" << action << "' (info, slice)\n";
     return 2;
   }
-  if (!to_format.empty() && to_format != "text" && to_format != "bin") {
-    std::cerr << "--to must be text or bin, got '" << to_format << "'\n";
+  if (action == "slice" && out_path.empty()) {
+    std::cerr << "trace slice needs --out FILE\n";
     return 2;
   }
 
-  // mmap where possible: info/slice on a multi-GB binary trace touch the
-  // header, one index entry and the requested records — nothing else.
-  const traffic::MappedTrace file(path);
-  const std::string_view bytes = file.bytes();
-  const bool bin = traffic::is_trace_bin(bytes);
+  traffic::StimulusSpec file;
+  file.source = traffic::StimulusSource::kTrace;
+  file.trace_path = path;
+  traffic::resolve(file);
+  const traffic::Script script = traffic::load_trace(file.trace_text, 0);
 
   if (action == "info") {
-    std::cout << "file:    " << path << " (" << bytes.size() << " bytes, "
-              << (file.zero_copy() ? "mmap" : "buffered") << ")\n";
-    traffic::Script script;
-    if (bin) {
-      const traffic::TraceBinInfo info = traffic::trace_bin_info(bytes);
-      std::cout << "format:  binary v" << info.version << " ("
-                << (info.indexed() ? "indexed" : "no index") << ", "
-                << info.payload_bytes << " payload bytes)\n";
-      script = traffic::load_trace_bin(bytes, 0);
-    } else {
-      std::cout << "format:  text\n";
-      script = load_any_trace(bytes);
-    }
+    std::cout << "file:    " << path << " (" << file.trace_text.size()
+              << " bytes)\n";
     std::uint64_t reads = 0, writes = 0, beats = 0, moved = 0, gaps = 0;
     for (const traffic::TrafficItem& item : script) {
       (item.txn.dir == ahb::Dir::kRead ? reads : writes) += 1;
@@ -638,47 +586,19 @@ int cmd_trace(const std::string& action, const std::string& path,
     return 0;
   }
 
-  if (out_path.empty()) {
-    std::cerr << "trace " << action << " needs --out FILE\n";
-    return 2;
+  const std::uint64_t from = std::min<std::uint64_t>(first, script.size());
+  const std::uint64_t take =
+      std::min<std::uint64_t>(count, script.size() - from);
+  traffic::Script window(
+      script.begin() + static_cast<std::ptrdiff_t>(from),
+      script.begin() + static_cast<std::ptrdiff_t>(from + take));
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    window[i].txn.id = i + 1;  // a slice is a standalone script
   }
-
-  if (action == "convert") {
-    // Default: the other format — converting is most often a round trip.
-    if (to_format.empty()) {
-      to_format = bin ? "text" : "bin";
-    }
-    const traffic::Script script = load_any_trace(bytes);
-    write_trace_file(out_path, to_format, script);
-    std::cout << "converted " << script.size() << " record(s): "
-              << (bin ? "bin" : "text") << " -> " << to_format << " ("
-              << out_path << ")\n";
-    return 0;
-  }
-
-  // slice: binary inputs seek to record `first` through the index; text
-  // inputs have no seekable structure, so the whole file is parsed first.
-  if (to_format.empty()) {
-    to_format = bin ? "bin" : "text";
-  }
-  traffic::Script window;
-  if (bin) {
-    window = traffic::load_trace_bin_window(bytes, 0, first, count);
-  } else {
-    traffic::Script all = load_any_trace(bytes);
-    const std::uint64_t from = std::min<std::uint64_t>(first, all.size());
-    const std::uint64_t take =
-        std::min<std::uint64_t>(count, all.size() - from);
-    window.assign(all.begin() + static_cast<std::ptrdiff_t>(from),
-                  all.begin() + static_cast<std::ptrdiff_t>(from + take));
-    for (std::size_t i = 0; i < window.size(); ++i) {
-      window[i].txn.id = i + 1;  // a slice is a standalone script
-    }
-  }
-  write_trace_file(out_path, to_format, window);
+  write_trace_file(out_path, window);
   std::cout << "sliced records [" << first << ", " << first + window.size()
-            << ") of " << path << " -> " << out_path << " (" << to_format
-            << ", " << window.size() << " record(s))\n";
+            << ") of " << path << " -> " << out_path << " ("
+            << window.size() << " record(s))\n";
   return 0;
 }
 
@@ -713,8 +633,6 @@ int main(int argc, char** argv) {
   std::string csv_path;      // sweep --csv FILE
   std::string out_path;      // checkpoint/trace --out FILE
   std::string capture_dir;   // run --capture-trace DIR
-  std::string capture_format = "text";  // run --trace-format text|bin
-  std::string to_format;     // trace --to text|bin (empty = action default)
   std::string timeline_path;    // run --timeline FILE
   std::string stats_json_path;  // run --stats-json FILE
   unsigned items = 0;
@@ -789,10 +707,6 @@ int main(int argc, char** argv) {
                   << capture_dir << "'\n";
         return 2;
       }
-    } else if (a == "--trace-format") {
-      capture_format = need_value(i);
-    } else if (a == "--to") {
-      to_format = need_value(i);
     } else if (a == "--first") {
       first = need_unsigned(i, ~std::uint64_t{0});
     } else if (a == "--count") {
@@ -916,26 +830,26 @@ int main(int argc, char** argv) {
     }
     if (cmd == "run") {
       if (!check_options({"--model", "--items", "--seed", "--vcd",
-                          "--capture-trace", "--trace-format", "--csv",
+                          "--capture-trace", "--csv",
                           "--quiet", "--timeline", "--stats-json",
                           "--progress", "--self-profile"})) {
         return 2;
       }
       return cmd_run(positional, model, items, seed, vcd_path, capture_dir,
-                     capture_format, csv, quiet,
-                     timeline_path, stats_json_path, progress, self_profile);
+                     csv, quiet, timeline_path, stats_json_path, progress,
+                     self_profile);
     }
     if (cmd == "trace") {
-      if (!check_options({"--out", "--to", "--first", "--count"})) {
+      if (!check_options({"--out", "--first", "--count"})) {
         return 2;
       }
       if (positionals.size() < 2) {
         std::cerr << "trace needs an action and a file: trace"
-                     " info|convert|slice <file>\n";
+                     " info|slice <file>\n";
         return 2;
       }
-      return cmd_trace(positionals[0], positionals[1], out_path, to_format,
-                       first, count);
+      return cmd_trace(positionals[0], positionals[1], out_path, first,
+                       count);
     }
     if (cmd == "checkpoint") {
       if (!check_options({"--model", "--items", "--seed", "--at", "--out"})) {

@@ -12,8 +12,11 @@ machine vs the reference machine" speed factor, and fails any model whose
 ratio falls below tolerance x median.  A uniform slowdown (slower runner)
 passes; one model regressing relative to the others fails.
 
+Each row's kcycles/sec is the median of `reps` timed runs, written with
+their min and IQR.
+
 Also re-asserts the artifact's shape invariants (shape_ok, positive
-throughputs, phase tables) so the gate subsumes the old shape check, and
+throughputs, a consistent spread per row, phase tables) so the gate subsumes the old shape check, and
 that the fresh run simulated exactly what the reference did: the same
 `items`, and identical `cycles` on every row of both files.  Simulated
 cycles do not depend on the host, so any difference is a behaviour change,
@@ -53,6 +56,11 @@ def main():
     assert new.get("shape_ok"), "shape_ok is false in fresh run"
     for m, row in new["models"].items():
         assert row["kcycles_per_sec"] > 0, f"non-positive throughput: {m}"
+        assert row["reps"] >= 1, f"no timed runs: {m}"
+        assert 0 < row["kcycles_per_sec_min"] <= row["kcycles_per_sec"], (
+            f"{m}: min above median"
+        )
+        assert row["kcycles_per_sec_iqr"] >= 0, f"{m}: negative IQR"
     assert new["phases"]["tlm"] and new["phases"]["rtl"], "missing phase tables"
 
     # Simulated behaviour is host-independent: same workload, same cycles.
@@ -97,6 +105,7 @@ def main():
         print(
             f"  {m:16s} ref {ref['models'][m]['kcycles_per_sec']:10.1f} "
             f"new {new['models'][m]['kcycles_per_sec']:10.1f} "
+            f"(IQR {new['models'][m]['kcycles_per_sec_iqr']:8.1f}) "
             f"ratio {r:.3f}  {verdict}"
         )
         if r < floor:
