@@ -1,8 +1,8 @@
-// Kernel micro-benchmarks (google-benchmark): the cost asymmetry behind
-// the paper's §4 modeling choices — method-based components on the 2-step
-// cycle kernel vs signal processes with delta cycles on the event kernel.
-// These are the per-primitive numbers that aggregate into bench_speed's
-// whole-model ratio.
+// Event-kernel micro-benchmarks (google-benchmark): the per-primitive cost
+// of the signal-level model (clocked processes, signal commits, delta
+// cascades, timed events) — the side of the paper's §4 speed ratio that
+// pays for signals.  The TLM has no kernel: its parts call each other
+// directly, so bench_speed's whole-model rows measure it.
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "sim/clock.hpp"
-#include "sim/cycle_kernel.hpp"
 #include "sim/event_kernel.hpp"
 
 namespace {
@@ -24,25 +23,6 @@ template <typename Int>
 std::string numbered(const char* prefix, Int i) {
   return std::string(prefix).append(std::to_string(i));
 }
-
-// One cycle of a 2-step cycle kernel hosting N trivial components.
-void BM_CycleKernelStep(benchmark::State& state) {
-  const int components = static_cast<int>(state.range(0));
-  CycleKernel k;
-  std::vector<std::unique_ptr<CallbackClocked>> comps;
-  std::uint64_t acc = 0;
-  for (int i = 0; i < components; ++i) {
-    comps.push_back(std::make_unique<CallbackClocked>(
-        numbered("c", i), i, [&acc](Cycle now) { acc += now; }));
-    k.add(*comps.back());
-  }
-  for (auto _ : state) {
-    k.step();
-  }
-  benchmark::DoNotOptimize(acc);
-  state.SetItemsProcessed(state.iterations() * components);
-}
-BENCHMARK(BM_CycleKernelStep)->Arg(4)->Arg(8)->Arg(32);
 
 // One clock cycle of the event kernel with N posedge processes each
 // committing one signal write — the RTL fabric's base cost.

@@ -7,8 +7,8 @@
 // We report the same three rows (pin-accurate reference, TLM multi-master,
 // TLM single-master), an idle-heavy TLM row (rt-3) and the speedup factor,
 // with the kernel activity that explains the gap (delta rounds, signal
-// commits, process activations per cycle vs two virtual calls per
-// component).  Absolute numbers are hardware- and substrate-dependent; the
+// commits, process activations per cycle vs one direct call per master
+// and one for the bus).  Absolute numbers are hardware- and substrate-dependent; the
 // shape under test is TLM >> signal-level, and single-master > loaded TLM.
 //
 // Usage: bench_speed [items-per-master] [json-path]

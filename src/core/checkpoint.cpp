@@ -12,9 +12,7 @@
 #include "obs/selfprof.hpp"
 #include "obs/timeline.hpp"
 #include "rtl/fabric.hpp"
-#include "sim/cycle_kernel.hpp"
 #include "tlm/bus.hpp"
-#include "tlm/ddrc.hpp"
 #include "tlm/master.hpp"
 
 namespace ahbp::core {
@@ -41,15 +39,20 @@ struct Platform::Impl {
   ModelKind model;
   double wall = 0.0;  ///< this instance's accumulated simulation time
 
-  // --- transaction-level assembly (mirrors the historical run_tlm) ---
-  sim::CycleKernel kernel;
+  // --- transaction-level assembly: the parts call each other directly ---
+  sim::Cycle now = 0;             ///< TLM cycles completed so far
+  std::uint64_t evaluations = 0;  ///< component evaluate() calls (masters + bus)
   std::unique_ptr<ahb::QosRegisterFile> qos;
   chk::ViolationLog log;
-  std::unique_ptr<tlm::TlmDdrc> ddrc;
+  std::unique_ptr<ddr::ChannelSet> dram;
   std::unique_ptr<tlm::AhbPlusBus> bus;
   std::vector<std::unique_ptr<tlm::TlmMaster>> masters;
   sim::Cycle last_completion = 0;
   CompletionHook on_complete;  ///< set_on_complete (the fabric owns the RTL's)
+  obs::SelfProfiler* profiler = nullptr;  ///< enable_self_profile (TLM)
+  /// Profiler phase per master, then the bus; resolved on the first
+  /// profiled cycle.
+  std::vector<unsigned> prof_ids;
 
   // --- signal-level assembly ---
   std::unique_ptr<rtl::RtlFabric> fabric;
@@ -71,6 +74,42 @@ struct Platform::Impl {
     return bus->quiescent();
   }
 
+  /// One TLM cycle: every master in id order acts on last cycle's bus
+  /// state, then the bus advances one cycle.
+  void step_tlm() {
+    if (profiler != nullptr) {
+      step_tlm_profiled();
+      return;
+    }
+    for (const auto& m : masters) {
+      m->evaluate(now);
+    }
+    bus->evaluate(now);
+    evaluations += masters.size() + 1;
+    ++now;
+  }
+
+  /// step_tlm with each part timed under `tlm.tlm-master<N>` / `tlm.ahb+bus`.
+  void step_tlm_profiled() {
+    if (prof_ids.empty()) {
+      for (std::size_t m = 0; m < masters.size(); ++m) {
+        prof_ids.push_back(profiler->phase(
+            std::string("tlm.tlm-master").append(std::to_string(m))));
+      }
+      prof_ids.push_back(profiler->phase("tlm.ahb+bus"));
+    }
+    for (std::size_t m = 0; m < masters.size(); ++m) {
+      obs::ScopedTimer t(profiler, prof_ids[m]);
+      masters[m]->evaluate(now);
+    }
+    {
+      obs::ScopedTimer t(profiler, prof_ids.back());
+      bus->evaluate(now);
+    }
+    evaluations += masters.size() + 1;
+    ++now;
+  }
+
   /// TLM execution: step busy cycles, leap provably idle stretches.  Once
   /// the bus and every master publish a next-interesting-cycle bound in the
   /// future, every cycle up to it is a proven no-op, so the clock jumps
@@ -81,7 +120,6 @@ struct Platform::Impl {
   sim::Cycle run_tlm(sim::Cycle quota) {
     sim::Cycle ran = 0;
     while (ran < quota && !tlm_done()) {
-      const sim::Cycle now = kernel.now();
       sim::Cycle bound = bus->idle_until(now);
       for (const auto& m : masters) {
         if (bound <= now) {
@@ -94,12 +132,10 @@ struct Platform::Impl {
         // never past the caller's quota.
         const sim::Cycle skip = std::min<sim::Cycle>(bound - now, quota - ran);
         bus->skip_idle(now, now + skip);
-        kernel.skip_to(now + skip);
+        now += skip;
         ran += skip;
       } else {
-        // Busy cycle: step directly (the loop head is the predicate check,
-        // so this is exactly one run_until iteration without re-testing).
-        kernel.step();
+        step_tlm();
         ++ran;
       }
     }
@@ -131,23 +167,21 @@ Platform::Platform(const PlatformConfig& cfg, ModelKind model)
     for (unsigned m = 0; m < n; ++m) {
       im.qos->program(static_cast<ahb::MasterId>(m), cfg.masters[m].qos);
     }
-    im.ddrc = std::make_unique<tlm::TlmDdrc>(ddr_channel_configs(cfg),
-                                             cfg.interleave, cfg.ddr_base);
+    im.dram = std::make_unique<ddr::ChannelSet>(ddr_channel_configs(cfg),
+                                               cfg.interleave);
     im.bus = std::make_unique<tlm::AhbPlusBus>(
-        cfg.bus, *im.qos, *im.ddrc, n,
+        cfg.bus, *im.qos, *im.dram, cfg.ddr_base, n,
         cfg.enable_checkers ? &im.log : nullptr);
-    im.kernel.add(*im.bus);
     for (unsigned m = 0; m < n; ++m) {
       const auto id = static_cast<ahb::MasterId>(m);
       im.masters.push_back(
           std::make_unique<tlm::TlmMaster>(id, *im.bus, std::move(scripts[m])));
       im.masters[m]->on_complete = [&im, id](const ahb::Transaction& t) {
-        im.last_completion = im.kernel.now();
+        im.last_completion = im.now;
         if (im.on_complete) {
           im.on_complete(id, t);
         }
       };
-      im.kernel.add(*im.masters[m]);
     }
   } else {
     im.fabric = std::make_unique<rtl::RtlFabric>(im.cfg, std::move(scripts));
@@ -161,7 +195,7 @@ ModelKind Platform::model() const noexcept { return impl_->model; }
 const PlatformConfig& Platform::config() const noexcept { return impl_->cfg; }
 
 sim::Cycle Platform::now() const {
-  return impl_->model == ModelKind::kTlm ? impl_->kernel.now()
+  return impl_->model == ModelKind::kTlm ? impl_->now
                                          : impl_->fabric->cycle();
 }
 
@@ -235,7 +269,7 @@ SimResult Platform::result() const {
     r.model = "tlm";
     r.finished = im.tlm_done();
     r.cycles = im.last_completion;
-    r.ran_cycles = im.kernel.now();
+    r.ran_cycles = im.now;
     for (const auto& m : im.masters) {
       r.completed += m->completed();
     }
@@ -243,15 +277,15 @@ SimResult Platform::result() const {
     r.profile.bus = im.bus->bus_profile();
     r.profile.bus.grants = im.bus->arbiter().grants();
     r.profile.write_buffer = im.bus->write_buffer().profile();
-    r.profile.ddr.commands = im.ddrc->channels().command_counters();
-    r.profile.ddr.hits = im.ddrc->channels().hit_stats();
+    r.profile.ddr.commands = im.dram->command_counters();
+    r.profile.ddr.hits = im.dram->hit_stats();
     r.profile.total_cycles = im.last_completion;
     r.profile.completed_txns = r.completed;
     r.protocol_errors = im.log.errors();
     r.qos_warnings = im.log.warnings();
     r.first_violations = im.log.to_string();
     r.profile.violation_rules = im.log.rule_counts();
-    r.kernel_activity = im.kernel.evaluations();
+    r.kernel_activity = im.evaluations;
   } else {
     const rtl::RtlFabric& f = *im.fabric;
     r.model = "rtl";
@@ -299,7 +333,7 @@ void Platform::enable_timeline(obs::Timeline& tl) {
   if (im.model == ModelKind::kTlm) {
     const unsigned pid = tl.add_process("tlm");
     im.bus->set_timeline(tl, pid);
-    im.ddrc->channels().set_timeline(&tl, pid);
+    im.dram->set_timeline(&tl, pid);
   } else {
     const unsigned pid = tl.add_process("rtl");
     im.fabric->enable_timeline(tl, pid);
@@ -312,7 +346,8 @@ void Platform::enable_self_profile(obs::SelfProfiler& sp) {
   // retroactively so the per-phase table covers the whole setup cost.
   sp.add(sp.phase("platform.expand-stimulus"), im.expand_ns);
   if (im.model == ModelKind::kTlm) {
-    im.kernel.set_profiler(&sp);
+    im.profiler = &sp;
+    im.prof_ids.clear();
   } else {
     im.fabric->set_profiler(&sp);
   }
@@ -359,10 +394,15 @@ void Platform::save_state(state::StateWriter& w) const {
   w.put_u8(static_cast<std::uint8_t>(im.model));
   if (im.model == ModelKind::kTlm) {
     w.put_u64(im.last_completion);
-    im.kernel.save_state(w);
+    // The TLM clock, under the tag tools/snapshot_manifest.txt records for
+    // it at this state::kFormatVersion.
+    w.begin("cycle-kernel");
+    w.put_u64(im.now);
+    w.put_u64(im.evaluations);
+    w.end();
     im.qos->save_state(w);
     im.log.save_state(w);
-    im.ddrc->channels().save_state(w);
+    im.dram->save_state(w);
     im.bus->save_state(w);
     w.put_u64(im.masters.size());
     for (const auto& m : im.masters) {
@@ -385,10 +425,13 @@ void Platform::restore_state(state::StateReader& r) {
   }
   if (im.model == ModelKind::kTlm) {
     im.last_completion = r.get_u64();
-    im.kernel.restore_state(r);
+    r.enter("cycle-kernel");
+    im.now = r.get_u64();
+    im.evaluations = r.get_u64();
+    r.leave();
     im.qos->restore_state(r);
     im.log.restore_state(r);
-    im.ddrc->channels().restore_state(r);
+    im.dram->restore_state(r);
     im.bus->restore_state(r);
     const std::uint64_t n = r.get_u64();
     if (n != im.masters.size()) {

@@ -118,8 +118,8 @@ class Platform : public state::Snapshottable {
   /// all simulated state are bit-identical with or without a timeline.
   void enable_timeline(obs::Timeline& tl);
 
-  /// Attach a self-profiler: the model's kernel times its components (TLM:
-  /// per Clocked component; RTL: per process), and the stimulus-expansion
+  /// Attach a self-profiler: the model times its parts (TLM: each master
+  /// and the bus; RTL: per process), and the stimulus-expansion
   /// time measured at construction is reported retroactively.  Call before
   /// run(); `sp` must outlive the platform.
   void enable_self_profile(obs::SelfProfiler& sp);

@@ -3,13 +3,13 @@
 #include <cstdint>
 
 /// \file time.hpp
-/// Common time types shared by both simulation kernels.
+/// Common time types shared by both models.
 ///
 /// The event-driven kernel (used by the signal-level reference model) counts
-/// `Tick`s — an abstract unit fine enough to place clock edges.  The 2-step
-/// cycle-based kernel (used by the transaction-level model) counts whole bus
-/// `Cycle`s.  Keeping the two types distinct makes it impossible to mix the
-/// two time bases by accident.
+/// `Tick`s — an abstract unit fine enough to place clock edges.  The
+/// transaction-level model, stepped one bus cycle at a time, counts whole
+/// bus `Cycle`s.  Keeping the two types distinct makes it impossible to mix
+/// the two time bases by accident.
 
 namespace ahbp::sim {
 
@@ -17,7 +17,7 @@ namespace ahbp::sim {
 /// period P produces a rising edge every P ticks.
 using Tick = std::uint64_t;
 
-/// Cycle-kernel timestamp: number of elapsed bus clock cycles.
+/// Bus-cycle timestamp: number of elapsed bus clock cycles.
 using Cycle = std::uint64_t;
 
 /// Sentinel meaning "no deadline / never".

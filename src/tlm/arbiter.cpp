@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <limits>
-#include <memory>
 
 #include "assertions/assert.hpp"
 
@@ -10,230 +9,166 @@ namespace ahbp::tlm {
 
 namespace {
 
-bool enabled(const ArbContext& ctx, ahb::FilterBit b) {
-  return ahb::filter_enabled(ctx.cfg->filter_mask, b);
-}
-
 /// Stage 1 — the base set: every requesting candidate that is not blocked
 /// by a read-after-write hazard.  If the eager set is empty but the write
 /// buffer holds data, the buffer becomes the (sole) opportunistic
 /// candidate, which is how it drains through bus idle gaps.
-class RequestFilter final : public ArbitrationFilter {
- public:
-  std::string_view name() const noexcept override { return "request"; }
-  ahb::FilterBit bit() const noexcept override {
-    return ahb::FilterBit::kRequest;
-  }
-  CandidateMask apply(const ArbContext& ctx, CandidateMask) const override {
-    CandidateMask m = 0;
-    for (unsigned i = 0; i < ctx.candidates.size(); ++i) {
-      const ArbCandidate& c = ctx.candidates[i];
-      if (c.requesting && !c.blocked_by_hazard) {
-        m |= 1U << i;
-      }
+CandidateMask request_filter(const ArbContext& ctx) {
+  CandidateMask m = 0;
+  for (unsigned i = 0; i < ctx.candidates.size(); ++i) {
+    const ArbCandidate& c = ctx.candidates[i];
+    if (c.requesting && !c.blocked_by_hazard) {
+      m |= 1U << i;
     }
-    return m;
   }
-};
+  return m;
+}
 
 /// Stage 2 — locked-transfer ownership: a master holding HLOCK keeps the
 /// bus until its locked transaction completes.
-class LockFilter final : public ArbitrationFilter {
- public:
-  std::string_view name() const noexcept override { return "lock"; }
-  ahb::FilterBit bit() const noexcept override { return ahb::FilterBit::kLock; }
-  CandidateMask apply(const ArbContext& ctx, CandidateMask in) const override {
-    if (ctx.lock_owner == ahb::kNoMaster) {
-      return in;
-    }
-    const CandidateMask owner_bit = 1U << ctx.lock_owner;
-    return (in & owner_bit) ? owner_bit : in;
+CandidateMask lock_filter(const ArbContext& ctx, CandidateMask in) {
+  if (ctx.lock_owner == ahb::kNoMaster) {
+    return in;
   }
-};
+  const CandidateMask owner_bit = 1U << ctx.lock_owner;
+  return (in & owner_bit) ? owner_bit : in;
+}
 
 /// Stage 3 — QoS urgency: real-time masters whose slack (objective minus
 /// wait so far) fell below the configured threshold pre-empt everything;
 /// among several urgent masters the smallest slack wins.  A full/hazard
 /// write buffer is treated as urgent too, but RT emergencies outrank it.
-class UrgencyFilter final : public ArbitrationFilter {
- public:
-  std::string_view name() const noexcept override { return "urgency"; }
-  ahb::FilterBit bit() const noexcept override {
-    return ahb::FilterBit::kUrgency;
+CandidateMask urgency_filter(const ArbContext& ctx, CandidateMask in) {
+  CandidateMask urgent = 0;
+  std::int64_t best = std::numeric_limits<std::int64_t>::max();
+  for (unsigned i = 0; i < ctx.masters; ++i) {
+    if (!((in >> i) & 1U)) {
+      continue;
+    }
+    const auto& cfg = ctx.qos->config(static_cast<ahb::MasterId>(i));
+    if (cfg.cls != ahb::MasterClass::kRealTime) {
+      continue;
+    }
+    const std::int64_t slack =
+        ctx.qos->rt_slack(static_cast<ahb::MasterId>(i), ctx.now);
+    if (slack >= static_cast<std::int64_t>(ctx.cfg->urgency_slack_threshold)) {
+      continue;
+    }
+    if (slack < best) {
+      best = slack;
+      urgent = 1U << i;
+    } else if (slack == best) {
+      urgent |= 1U << i;
+    }
   }
-  CandidateMask apply(const ArbContext& ctx, CandidateMask in) const override {
-    CandidateMask urgent = 0;
-    std::int64_t best = std::numeric_limits<std::int64_t>::max();
-    for (unsigned i = 0; i < ctx.masters; ++i) {
-      if (!((in >> i) & 1U)) {
-        continue;
-      }
-      const auto& cfg = ctx.qos->config(static_cast<ahb::MasterId>(i));
-      if (cfg.cls != ahb::MasterClass::kRealTime) {
-        continue;
-      }
-      const std::int64_t slack =
-          ctx.qos->rt_slack(static_cast<ahb::MasterId>(i), ctx.now);
-      if (slack >= static_cast<std::int64_t>(ctx.cfg->urgency_slack_threshold)) {
-        continue;
-      }
-      if (slack < best) {
-        best = slack;
-        urgent = 1U << i;
-      } else if (slack == best) {
-        urgent |= 1U << i;
-      }
-    }
-    if (urgent != 0) {
-      return urgent;
-    }
-    if (ctx.wbuf_urgent && (in & ctx.wbuf_bit())) {
-      return ctx.wbuf_bit();
-    }
-    return in;
+  if (urgent != 0) {
+    return urgent;
   }
-};
+  if (ctx.wbuf_urgent && (in & ctx.wbuf_bit())) {
+    return ctx.wbuf_bit();
+  }
+  return in;
+}
 
-/// Stage 4 — bank awareness (BI): prefer candidates whose target bank is
-/// most ready (open matching row beats idle beats conflicting), enabling
-/// the DDR bank interleaving the BI exists for.
-class BankFilter final : public ArbitrationFilter {
- public:
-  std::string_view name() const noexcept override { return "bank"; }
-  ahb::FilterBit bit() const noexcept override { return ahb::FilterBit::kBank; }
-  CandidateMask apply(const ArbContext& ctx, CandidateMask in) const override {
-    if (!ctx.cfg->bi_hints_enabled) {
-      return in;
-    }
-    ddr::BankAffinity best = ddr::BankAffinity::kConflict;
-    for (unsigned i = 0; i < ctx.candidates.size(); ++i) {
-      if (((in >> i) & 1U) && ctx.candidates[i].affinity > best) {
-        best = ctx.candidates[i].affinity;
-      }
-    }
-    CandidateMask out = 0;
-    for (unsigned i = 0; i < ctx.candidates.size(); ++i) {
-      if (((in >> i) & 1U) && ctx.candidates[i].affinity == best) {
-        out |= 1U << i;
-      }
-    }
-    return out != 0 ? out : in;
-  }
-};
-
-/// Stage 5 — bandwidth budgets: masters that still hold budget tokens for
+/// Stage 4 — bandwidth budgets: masters that still hold budget tokens for
 /// the current epoch outrank those that exhausted theirs.  The write
 /// buffer has no budget and is treated as always in-budget (its bandwidth
 /// is accounted to the masters whose writes it carries).
-class QosBudgetFilter final : public ArbitrationFilter {
- public:
-  std::string_view name() const noexcept override { return "qos-budget"; }
-  ahb::FilterBit bit() const noexcept override {
-    return ahb::FilterBit::kQosBudget;
-  }
-  CandidateMask apply(const ArbContext& ctx, CandidateMask in) const override {
-    CandidateMask out = 0;
-    for (unsigned i = 0; i < ctx.candidates.size(); ++i) {
-      if (!((in >> i) & 1U)) {
-        continue;
-      }
-      if (i >= ctx.masters) {
-        out |= 1U << i;  // write buffer: always in budget
-        continue;
-      }
-      const auto& st = ctx.qos->state(static_cast<ahb::MasterId>(i));
-      const auto& cfg = ctx.qos->config(static_cast<ahb::MasterId>(i));
-      // objective 0 = best effort (no budget tracking for this master)
-      if (cfg.objective == 0 || st.budget > 0) {
-        out |= 1U << i;
-      }
+CandidateMask qos_budget_filter(const ArbContext& ctx, CandidateMask in) {
+  CandidateMask out = 0;
+  for (unsigned i = 0; i < ctx.candidates.size(); ++i) {
+    if (!((in >> i) & 1U)) {
+      continue;
     }
-    return out != 0 ? out : in;
+    if (i >= ctx.masters) {
+      out |= 1U << i;  // write buffer: always in budget
+      continue;
+    }
+    const auto& st = ctx.qos->state(static_cast<ahb::MasterId>(i));
+    const auto& cfg = ctx.qos->config(static_cast<ahb::MasterId>(i));
+    // objective 0 = best effort (no budget tracking for this master)
+    if (cfg.objective == 0 || st.budget > 0) {
+      out |= 1U << i;
+    }
   }
-};
+  return out != 0 ? out : in;
+}
+
+/// Stage 5 — bank awareness (BI): prefer candidates whose target bank is
+/// most ready (open matching row beats idle beats conflicting), enabling
+/// the DDR bank interleaving the BI exists for.
+CandidateMask bank_filter(const ArbContext& ctx, CandidateMask in) {
+  if (!ctx.cfg->bi_hints_enabled) {
+    return in;
+  }
+  ddr::BankAffinity best = ddr::BankAffinity::kConflict;
+  for (unsigned i = 0; i < ctx.candidates.size(); ++i) {
+    if (((in >> i) & 1U) && ctx.candidates[i].affinity > best) {
+      best = ctx.candidates[i].affinity;
+    }
+  }
+  CandidateMask out = 0;
+  for (unsigned i = 0; i < ctx.candidates.size(); ++i) {
+    if (((in >> i) & 1U) && ctx.candidates[i].affinity == best) {
+      out |= 1U << i;
+    }
+  }
+  return out != 0 ? out : in;
+}
 
 /// Stage 6 — round-robin fairness: the first candidate strictly after the
 /// last grant in circular index order.
-class RoundRobinFilter final : public ArbitrationFilter {
- public:
-  std::string_view name() const noexcept override { return "round-robin"; }
-  ahb::FilterBit bit() const noexcept override {
-    return ahb::FilterBit::kRoundRobin;
-  }
-  CandidateMask apply(const ArbContext& ctx, CandidateMask in) const override {
-    if (in == 0) {
-      return in;
-    }
-    const unsigned n = static_cast<unsigned>(ctx.candidates.size());
-    const unsigned start =
-        ctx.last_grant == ahb::kNoMaster ? 0 : (ctx.last_grant + 1U) % n;
-    for (unsigned k = 0; k < n; ++k) {
-      const unsigned i = (start + k) % n;
-      if ((in >> i) & 1U) {
-        return 1U << i;
-      }
-    }
+CandidateMask round_robin_filter(const ArbContext& ctx, CandidateMask in) {
+  if (in == 0) {
     return in;
   }
-};
+  const unsigned n = static_cast<unsigned>(ctx.candidates.size());
+  const unsigned start =
+      ctx.last_grant == ahb::kNoMaster ? 0 : (ctx.last_grant + 1U) % n;
+  for (unsigned k = 0; k < n; ++k) {
+    const unsigned i = (start + k) % n;
+    if ((in >> i) & 1U) {
+      return 1U << i;
+    }
+  }
+  return in;
+}
 
 /// Stage 7 — fixed priority: lowest index wins.  Guarantees a unique
 /// winner whatever subset of the other stages is enabled.
-class PriorityFilter final : public ArbitrationFilter {
- public:
-  std::string_view name() const noexcept override { return "priority"; }
-  ahb::FilterBit bit() const noexcept override {
-    return ahb::FilterBit::kPriority;
-  }
-  CandidateMask apply(const ArbContext&, CandidateMask in) const override {
-    if (in == 0) {
-      return 0;
-    }
-    return in & (~in + 1);  // lowest set bit
-  }
-};
+CandidateMask priority_filter(const ArbContext&, CandidateMask in) {
+  return in & (~in + 1);  // lowest set bit (0 stays 0)
+}
 
 }  // namespace
 
-FilterPipeline::FilterPipeline() {
+std::optional<ahb::MasterId> FilterPipeline::arbitrate(
+    const ArbContext& ctx) const {
+  AHBP_ASSERT(ctx.cfg != nullptr && ctx.qos != nullptr);
+  AHBP_ASSERT(ctx.candidates.size() == ctx.masters + 1);
+
+  // The request stage always runs (it defines the base set); the others
+  // honour the §3.7 per-filter enable mask.
+  CandidateMask mask = request_filter(ctx);
+  if (mask == 0) {
+    return std::nullopt;  // nobody requesting
+  }
   // Order encodes policy: QoS guarantees (urgency, budget) outrank the
   // throughput optimization (bank affinity), which outranks fairness
   // tie-breaks.  Budget-before-bank also prevents an open-row feedback
   // loop from starving a master for longer than one budget epoch.
-  stages_.push_back(std::make_unique<RequestFilter>());
-  stages_.push_back(std::make_unique<LockFilter>());
-  stages_.push_back(std::make_unique<UrgencyFilter>());
-  stages_.push_back(std::make_unique<QosBudgetFilter>());
-  stages_.push_back(std::make_unique<BankFilter>());
-  stages_.push_back(std::make_unique<RoundRobinFilter>());
-  stages_.push_back(std::make_unique<PriorityFilter>());
-  for (const auto& s : stages_) {
-    stage_views_.push_back(s.get());
-  }
-}
-
-std::optional<ahb::MasterId> FilterPipeline::arbitrate(
-    const ArbContext& ctx,
-    std::vector<std::pair<std::string_view, CandidateMask>>* trace) const {
-  AHBP_ASSERT(ctx.cfg != nullptr && ctx.qos != nullptr);
-  AHBP_ASSERT(ctx.candidates.size() == ctx.masters + 1);
-
-  CandidateMask mask = 0;
-  bool first = true;
-  for (const auto& stage : stages_) {
-    // The request stage always runs (it defines the base set); the others
-    // honour the §3.7 per-filter enable mask.
-    if (first || enabled(ctx, stage->bit())) {
-      mask = stage->apply(ctx, mask);
+  using Stage = CandidateMask (*)(const ArbContext&, CandidateMask);
+  const auto run = [&](ahb::FilterBit bit, Stage stage) {
+    if (ahb::filter_enabled(ctx.cfg->filter_mask, bit)) {
+      mask = stage(ctx, mask);
     }
-    if (trace) {
-      trace->emplace_back(stage->name(), mask);
-    }
-    if (first && mask == 0) {
-      return std::nullopt;  // nobody requesting
-    }
-    first = false;
-  }
+  };
+  run(ahb::FilterBit::kLock, lock_filter);
+  run(ahb::FilterBit::kUrgency, urgency_filter);
+  run(ahb::FilterBit::kQosBudget, qos_budget_filter);
+  run(ahb::FilterBit::kBank, bank_filter);
+  run(ahb::FilterBit::kRoundRobin, round_robin_filter);
+  run(ahb::FilterBit::kPriority, priority_filter);
   // The priority stage may be disabled in ablations; fall back to its rule
   // so the arbiter still returns a unique winner.
   if (std::popcount(mask) > 1) {

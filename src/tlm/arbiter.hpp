@@ -1,10 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "ahb/config.hpp"
@@ -65,38 +62,14 @@ struct ArbContext {
   CandidateMask wbuf_bit() const noexcept { return 1U << masters; }
 };
 
-/// One stage of the pipeline.
-class ArbitrationFilter {
- public:
-  virtual ~ArbitrationFilter() = default;
-  virtual std::string_view name() const noexcept = 0;
-  virtual ahb::FilterBit bit() const noexcept = 0;
-  virtual CandidateMask apply(const ArbContext& ctx,
-                              CandidateMask in) const = 0;
-};
-
-/// The fixed seven-stage pipeline.  Stages honour the config's filter mask
+/// The fixed seven-stage pipeline: request, lock, urgency, qos-budget,
+/// bank, round-robin, priority.  Stages honour the config's filter mask
 /// (§3.7 "arbitration algorithm on/off"): a disabled stage is an identity.
 class FilterPipeline {
  public:
-  FilterPipeline();
-
   /// Run the pipeline.  Returns the winner, or nullopt when nobody is
-  /// requesting.  `trace`, when non-null, receives the mask after every
-  /// stage (diagnostics / the arbitration example app).
-  std::optional<ahb::MasterId> arbitrate(
-      const ArbContext& ctx,
-      std::vector<std::pair<std::string_view, CandidateMask>>* trace =
-          nullptr) const;
-
-  /// Stage list (for tests that exercise filters in isolation).
-  const std::vector<const ArbitrationFilter*>& stages() const noexcept {
-    return stage_views_;
-  }
-
- private:
-  std::vector<std::unique_ptr<ArbitrationFilter>> stages_;
-  std::vector<const ArbitrationFilter*> stage_views_;
+  /// requesting.
+  std::optional<ahb::MasterId> arbitrate(const ArbContext& ctx) const;
 };
 
 /// Bookkeeping arbiter shared by both models: wraps the pipeline with QoS

@@ -23,11 +23,12 @@ std::string owner_label(std::string_view owner, const ahb::Transaction& t) {
 }  // namespace
 
 AhbPlusBus::AhbPlusBus(const ahb::BusConfig& cfg, ahb::QosRegisterFile& qos,
-                       TlmDdrc& ddrc, unsigned masters,
-                       chk::ViolationLog* checker_log)
+                       ddr::ChannelSet& dram, ahb::Addr ddr_base,
+                       unsigned masters, chk::ViolationLog* checker_log)
     : cfg_(cfg),
       qos_(qos),
-      ddrc_(ddrc),
+      dram_(dram),
+      ddr_base_(ddr_base),
       masters_(masters),
       arbiter_(cfg_, qos),
       wbuf_(cfg.write_buffer_depth),
@@ -108,10 +109,10 @@ void AhbPlusBus::set_timeline(obs::Timeline& tl, unsigned pid) {
 }
 
 bool AhbPlusBus::quiescent() const noexcept {
-  if (inflight_active_ || granted_ || !wbuf_.empty() || ddrc_.busy()) {
+  if (inflight_active_ || granted_ || !wbuf_.empty() || dram_.busy()) {
     return false;
   }
-  if (ddrc_.channels().pending_write_chunks() != 0) {
+  if (dram_.pending_write_chunks() != 0) {
     return false;
   }
   return std::all_of(slots_.begin(), slots_.end(), [](const Slot& s) {
@@ -130,7 +131,7 @@ sim::Cycle AhbPlusBus::idle_until(sim::Cycle now) const noexcept {
       return now;
     }
   }
-  return ddrc_.idle_until(now);
+  return dram_.idle_until(now);
 }
 
 void AhbPlusBus::skip_idle(sim::Cycle from, sim::Cycle to) {
@@ -175,19 +176,18 @@ void AhbPlusBus::evaluate(sim::Cycle now) {
 
   do_begin(now);
 
-  // BI downstream: advertise the next transaction (the pending grant)
-  // ahead of its address phase so the DDRC can prep the bank (§2, §3.4).
-  BiDownstream down;
+  // BI hint: advertise the next transaction (the pending grant) ahead of
+  // its address phase so the DDRC can prep the bank (§2, §3.4).
+  std::optional<ddr::ChannelCoord> hint;
   if (cfg_.bi_hints_enabled && granted_) {
     const ahb::Transaction& next = *granted_ == masters_
                                        ? wbuf_.front()
                                        : slots_[*granted_].txn;
-    down.next_coord = ddrc_.coord_of(next.addr);
-    down.next_is_write = next.dir == ahb::Dir::kWrite;
+    hint = dram_.coord_of(next.addr - ddr_base_);
   }
-  ddrc_.bi_downstream(down);
+  dram_.set_hint(hint);
 
-  ddrc_.step(now);
+  dram_.step(now);
 
   const bool moved = move_data_beat(now);
   const bool busy = inflight_active_;
@@ -256,7 +256,7 @@ void AhbPlusBus::account_stalls(sim::Cycle now) {
           c = obs::StallClass::kWbufFull;
         } else if (inflight_active_) {
           c = obs::StallClass::kBusBusy;
-        } else if (ddrc_.busy() || !ddrc_.bi_upstream(now).access_permitted) {
+        } else if (dram_.busy() || !dram_.access_permitted(now)) {
           c = obs::StallClass::kDdrBusy;
         } else {
           c = obs::StallClass::kArbWait;
@@ -268,7 +268,7 @@ void AhbPlusBus::account_stalls(sim::Cycle now) {
 }
 
 void AhbPlusBus::do_begin(sim::Cycle now) {
-  if (!granted_ || inflight_active_ || ddrc_.busy()) {
+  if (!granted_ || inflight_active_ || dram_.busy()) {
     return;
   }
   if (now < granted_cycle_ + kGrantToStart) {
@@ -297,7 +297,13 @@ void AhbPlusBus::do_begin(sim::Cycle now) {
     f.txn.data.assign(f.txn.beats, 0);
   }
   f.addr_cycle = now;
-  ddrc_.begin(f.txn, now);
+  ddr::MemRequest req;
+  req.is_write = f.txn.dir == ahb::Dir::kWrite;
+  req.addr = f.txn.addr - ddr_base_;
+  req.beat_bytes = ahb::size_bytes(f.txn.size);
+  req.beats = f.txn.beats;
+  req.burst = f.txn.burst;
+  dram_.begin(req, now);
   if (tl_ != nullptr) {
     tl_->begin(tl_bus_track_, now,
                owner_label(f.from_wbuf ? std::string_view("wbuf")
@@ -317,29 +323,29 @@ bool AhbPlusBus::move_data_beat(sim::Cycle now) {
     return false;
   }
   if (f.txn.dir == ahb::Dir::kRead) {
-    if (!ddrc_.read_beat_available(now)) {
+    if (!dram_.read_beat_available(now)) {
       return false;
     }
-    f.txn.data[f.beat] = ddrc_.take_read_beat(now);
+    f.txn.data[f.beat] = dram_.take_read_beat(now);
     ++f.beat;
     return true;
   }
   // Write: data phase begins the cycle after the address phase (AHB
   // pipeline), then one beat per cycle while the DDRC accepts.
-  if (now <= f.addr_cycle || !ddrc_.write_beat_ready(now)) {
+  if (now <= f.addr_cycle || !dram_.write_beat_ready(now)) {
     return false;
   }
-  ddrc_.put_write_beat(now, f.txn.data[f.beat]);
+  dram_.put_write_beat(now, f.txn.data[f.beat]);
   ++f.beat;
   return true;
 }
 
 void AhbPlusBus::do_completion(sim::Cycle now) {
   if (!inflight_active_ || inflight_.beat < inflight_.txn.beats ||
-      !ddrc_.done()) {
+      !dram_.done()) {
     return;
   }
-  ddrc_.finish();
+  dram_.finish();
   Inflight& f = inflight_;
   f.txn.finished_at = now;
   if (f.from_wbuf) {
@@ -372,9 +378,8 @@ void AhbPlusBus::do_arbitration(sim::Cycle now) {
       return;
     }
   }
-  // BI upstream: bank status + admission (refresh wins over new grants).
-  const BiUpstream up = ddrc_.bi_upstream(now);
-  if (!up.access_permitted) {
+  // BI admission: refresh wins over new grants.
+  if (!dram_.access_permitted(now)) {
     return;
   }
 
@@ -403,7 +408,7 @@ void AhbPlusBus::do_arbitration(sim::Cycle now) {
     c.beats = s.txn.beats;
     c.requested_at = s.txn.issued_at;
     c.affinity = cfg_.bi_hints_enabled
-                     ? ddrc_.affinity(s.txn.addr, now)
+                     ? dram_.affinity_for(s.txn.addr - ddr_base_, now)
                      : ddr::BankAffinity::kIdle;
     // Read-after-write (and write-after-write) ordering against the
     // buffer: an overlapping transaction must not be granted before the
@@ -428,8 +433,9 @@ void AhbPlusBus::do_arbitration(sim::Cycle now) {
     const ahb::Transaction& next = wbuf_.peek(draining);
     wc.is_write = true;
     wc.beats = next.beats;
-    wc.affinity = cfg_.bi_hints_enabled ? ddrc_.affinity(next.addr, now)
-                                        : ddr::BankAffinity::kIdle;
+    wc.affinity = cfg_.bi_hints_enabled
+                      ? dram_.affinity_for(next.addr - ddr_base_, now)
+                      : ddr::BankAffinity::kIdle;
   }
   ctx.wbuf_urgent = wbuf_.urgent();
   wbuf_.clear_hazard_if_unneeded(any_hazard);

@@ -10,11 +10,10 @@
 #include "ahb/qos.hpp"
 #include "ahb/transaction.hpp"
 #include "assertions/bus_checker.hpp"
-#include "sim/cycle_kernel.hpp"
+#include "ddr/channels.hpp"
 #include "state/snapshot.hpp"
 #include "stats/profiles.hpp"
 #include "tlm/arbiter.hpp"
-#include "tlm/ddrc.hpp"
 #include "tlm/write_buffer.hpp"
 
 /// \file bus.hpp
@@ -24,21 +23,23 @@
 /// transaction-level port calls below (`request`, `poll_grant`,
 /// `poll_done`), which correspond to the paper's §3.2 mapping
 /// (HBUSREQ -> request(), HGRANT -> CheckGrant(), the transfer itself ->
-/// Read()/Write() returning OK).  The bus is one `Clocked` component on the
-/// 2-step cycle kernel; all state changes happen in its evaluate() pass,
-/// which runs after every master's (phase ordering), so a cycle sees:
-/// masters act on last cycle's bus state, then the bus advances one cycle.
+/// Read()/Write() returning OK).  The bus calls the DDR controller
+/// (ddr::ChannelSet) directly, the same way.  The platform steps each cycle
+/// by hand: every master's evaluate() first, then the bus's, so a cycle
+/// sees masters act on last cycle's bus state, then the bus advances one
+/// cycle.
 ///
 /// ## Cycle pipeline inside evaluate(now)
 ///
 ///  1. begin: a granted transaction starts its address phase kGrantToStart
 ///     cycles after its grant (the RTL design's registered HGRANT);
-///  2. BI exchange: next-transaction hint down, bank status up (§3.4);
-///  3. DDRC step (one DRAM command);
+///  2. BI hint: the pending grant's target goes down to the DDRC (§3.4);
+///  3. DDRC step (one DRAM command per channel);
 ///  4. one data beat moves (read or write) when the DDRC allows;
 ///  5. completion and master notification;
-///  6. arbitration (request pipelining: the next grant is computed while
-///     the tail of the current transfer still streams, §2);
+///  6. arbitration, unless the DDRC withholds access permission (request
+///     pipelining: the next grant is computed while the tail of the current
+///     transfer still streams, §2);
 ///  7. write-buffer absorption of writes that lost arbitration (§3.3);
 ///  8. profiling sample + protocol-checker view (§3.5, §3.6).
 
@@ -57,11 +58,13 @@ enum class GrantPoll : std::uint8_t {
   kBuffered, ///< write absorbed by the write buffer; transaction complete
 };
 
-class AhbPlusBus final : public sim::Clocked, public state::Snapshottable {
+class AhbPlusBus final : public state::Snapshottable {
  public:
+  /// `dram` serves the aperture starting at bus address `ddr_base`.
   /// `checker_log` may be null (checkers off, e.g. inside speed benches).
   AhbPlusBus(const ahb::BusConfig& cfg, ahb::QosRegisterFile& qos,
-             TlmDdrc& ddrc, unsigned masters, chk::ViolationLog* checker_log);
+             ddr::ChannelSet& dram, ahb::Addr ddr_base, unsigned masters,
+             chk::ViolationLog* checker_log);
 
   // ------------------------------------------------ master port (§3.2)
 
@@ -75,11 +78,8 @@ class AhbPlusBus final : public sim::Clocked, public state::Snapshottable {
   /// Completion poll; fills `out` (with read data and timestamps) once.
   bool poll_done(ahb::MasterId m, ahb::Transaction& out);
 
-  // ----------------------------------------------------------- Clocked
-
-  void evaluate(sim::Cycle now) override;
-  int phase() const override { return 2; }
-  std::string_view name() const override { return "ahb+bus"; }
+  /// Advance the bus one cycle (the pipeline above).
+  void evaluate(sim::Cycle now);
 
   // ------------------------------------------------------------- stats
 
@@ -151,7 +151,8 @@ class AhbPlusBus final : public sim::Clocked, public state::Snapshottable {
 
   ahb::BusConfig cfg_;
   ahb::QosRegisterFile& qos_;
-  TlmDdrc& ddrc_;
+  ddr::ChannelSet& dram_;
+  ahb::Addr ddr_base_;
   unsigned masters_;
   Arbiter arbiter_;
   WriteBuffer wbuf_;
@@ -178,8 +179,10 @@ class AhbPlusBus final : public sim::Clocked, public state::Snapshottable {
   unsigned tl_bus_track_ = 0;
   unsigned tl_wbuf_track_ = 0;
   unsigned tl_last_occ_ = ~0U;  ///< last emitted wbuf occupancy sample
-  /// Scratch arbitration context reused every cycle (method-based TLM is
-  /// allocation-free on the simulation hot path).
+  /// Scratch arbitration context reused every round, so arbitration never
+  /// touches the heap.  The TLM is not allocation-free: per-transaction
+  /// copies (script pops, write-buffer entries) allocate, so allocations
+  /// scale with transactions, never with cycles (test_alloc pins this).
   ArbContext ctx_;
 };
 

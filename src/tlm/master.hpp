@@ -1,10 +1,8 @@
 #pragma once
 
-#include <optional>
-#include <string>
+#include <functional>
 
 #include "ahb/transaction.hpp"
-#include "sim/cycle_kernel.hpp"
 #include "tlm/bus.hpp"
 #include "traffic/generator.hpp"
 
@@ -19,15 +17,14 @@
 
 namespace ahbp::tlm {
 
-class TlmMaster final : public sim::Clocked, public state::Snapshottable {
+class TlmMaster final : public state::Snapshottable {
  public:
   TlmMaster(ahb::MasterId id, AhbPlusBus& bus, traffic::Script script)
-      : id_(id), bus_(bus), source_(std::move(script)),
-        name_("tlm-master" + std::to_string(id)) {}
+      : id_(id), bus_(bus), source_(std::move(script)) {}
 
-  void evaluate(sim::Cycle now) override;
-  int phase() const override { return 0; }  // masters act before the bus
-  std::string_view name() const override { return name_; }
+  /// Act on last cycle's bus state; the platform calls every master before
+  /// the bus each cycle.
+  void evaluate(sim::Cycle now);
 
   /// All scripted transactions issued and completed.
   bool finished() const noexcept {
@@ -63,7 +60,6 @@ class TlmMaster final : public sim::Clocked, public state::Snapshottable {
   ahb::MasterId id_;
   AhbPlusBus& bus_;
   traffic::ScriptSource source_;
-  std::string name_;
   State state_ = State::kIdle;
   std::uint64_t completed_ = 0;
   /// Completion scratch (persistent so poll_done's copy reuses capacity).

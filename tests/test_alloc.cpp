@@ -1,12 +1,12 @@
-// Allocation-free hot paths — regression tests for the kernel-speed work.
+// Allocation-bounded hot paths — regression tests for the kernel-speed work.
 //
-// This binary replaces global operator new/delete with counting wrappers:
-// steady-state stepping of the CycleKernel and event dispatch in the
-// EventKernel must perform ZERO heap allocations per iteration.  These are
-// the properties that keep the simulator's inner loops out of the
-// allocator (see src/sim/inline_function.hpp and the bucketed timed-event
-// ring in event_kernel.hpp); a regression shows up here as a nonzero
-// counter delta, not as a 20%-slower benchmark three PRs later.
+// This binary replaces global operator new/delete with counting wrappers.
+// Event dispatch in the EventKernel must perform ZERO heap allocations per
+// iteration (see src/sim/inline_function.hpp and the bucketed timed-event
+// ring in event_kernel.hpp).  The TLM platform allocates per transaction
+// (script pops, write-buffer entries), never per cycle: its allocations
+// are bounded per retired transaction.  A regression shows up here as a
+// counter delta, not as a slower benchmark much later.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,8 @@
 #include <cstdlib>
 #include <new>
 
-#include "sim/cycle_kernel.hpp"
+#include "core/checkpoint.hpp"
+#include "scenario/registry.hpp"
 #include "sim/event_kernel.hpp"
 
 namespace {
@@ -35,7 +36,7 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// The nothrow forms too (std::stable_sort's temporary buffer, for one):
 // left to the runtime they would allocate with its allocator and be freed
 // by the replaced delete below, an alloc-dealloc mismatch under ASan.
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
@@ -59,28 +60,31 @@ namespace {
 
 using namespace ahbp;
 
-TEST(AllocFree, CycleKernelStepAllocatesNothing) {
-  sim::CycleKernel kernel;
-  std::uint64_t work = 0;
-  sim::CallbackClocked a("a", 0, [&work](sim::Cycle c) { work += c; });
-  sim::CallbackClocked b(
-      "b", 1, [&work](sim::Cycle c) { work ^= c; },
-      [&work](sim::Cycle) { ++work; });
-  kernel.add(a);
-  kernel.add(b);
-
-  kernel.run_until([] { return false; }, 16);  // warm-up
+/// Heap allocations per retired transaction over 100k TLM cycles of
+/// `preset`, after a 20k-cycle warm-up (construction and stimulus
+/// expansion happen before either).
+double tlm_allocs_per_txn(const char* preset) {
+  SCOPED_TRACE(preset);
+  core::Platform p(scenario::ScenarioRegistry::builtin().build(preset, 20'000),
+                   core::ModelKind::kTlm);
+  p.run(20'000);
+  const std::uint64_t done_before = p.result().completed;
 
   const std::uint64_t before = g_allocs;
-  for (int i = 0; i < 100'000; ++i) {
-    kernel.step();
-  }
+  const sim::Cycle ran = p.run(100'000);
   const std::uint64_t after = g_allocs;
 
-  EXPECT_EQ(after - before, 0u)
-      << "CycleKernel::step() hit the heap " << (after - before)
-      << " times over 100k steps";
-  EXPECT_GT(work, 0u);
+  const std::uint64_t retired = p.result().completed - done_before;
+  EXPECT_EQ(ran, 100'000u) << "workload finished inside the window";
+  EXPECT_GT(retired, 1'000u);
+  return static_cast<double>(after - before) /
+         static_cast<double>(retired > 0 ? retired : 1);
+}
+
+TEST(AllocFree, TlmAllocationsScaleWithTransactionsNotCycles) {
+  for (const char* preset : {"table1/cpu-1", "wbuf-stress"}) {
+    EXPECT_LE(tlm_allocs_per_txn(preset), 4.0) << preset;
+  }
 }
 
 TEST(AllocFree, EventKernelDispatchesMillionEventsWithoutHeapChurn) {

@@ -3,7 +3,7 @@
 // The per-cycle reference is data: the table below was recorded from a
 // platform that stepped every cycle, for every registry preset at 60 items
 // per master.  A live per-cycle reference is kept alongside it: a
-// hand-wired CycleKernel loop that steps every cycle.  Also pins
+// hand-written loop that steps every cycle.  Also pins
 // checkpoint-mid-leap restore equivalence.
 
 #include <gtest/gtest.h>
@@ -21,10 +21,8 @@
 #include "core/platform.hpp"
 #include "core/workloads.hpp"
 #include "scenario/registry.hpp"
-#include "sim/cycle_kernel.hpp"
 #include "state/snapshot.hpp"
 #include "tlm/bus.hpp"
-#include "tlm/ddrc.hpp"
 #include "tlm/master.hpp"
 
 namespace {
@@ -97,36 +95,38 @@ TEST(IdleLeap, EveryPresetMatchesPerCycleReference) {
   }
 }
 
-/// The live per-cycle reference: the TLM components wired by hand on a
-/// CycleKernel whose run_until() evaluates every cycle, with no leaping.
-/// core::run_tlm leaps provably idle stretches; it must stop on the same
-/// cycle, and both must complete `completed` transactions.
+/// The live per-cycle reference: the TLM parts wired by hand and stepped
+/// every cycle (masters, then the bus), with no leaping.  core::run_tlm
+/// leaps provably idle stretches; it must stop on the same cycle, and both
+/// must complete `completed` transactions.
 void expect_leap_matches_per_cycle(const core::PlatformConfig& cfg,
                                    std::uint64_t completed) {
-  sim::CycleKernel kernel;
   ahb::QosRegisterFile qos(static_cast<unsigned>(cfg.masters.size()));
   for (unsigned m = 0; m < cfg.masters.size(); ++m) {
     qos.program(static_cast<ahb::MasterId>(m), cfg.masters[m].qos);
   }
-  tlm::TlmDdrc ddrc(cfg.timing, cfg.geom, cfg.ddr_base);
+  ddr::ChannelSet dram(core::ddr_channel_configs(cfg), cfg.interleave);
   chk::ViolationLog log;
-  tlm::AhbPlusBus bus(cfg.bus, qos, ddrc,
+  tlm::AhbPlusBus bus(cfg.bus, qos, dram, cfg.ddr_base,
                       static_cast<unsigned>(cfg.masters.size()), &log);
-  kernel.add(bus);
   auto scripts = core::expand_stimulus(cfg);
   std::vector<std::unique_ptr<tlm::TlmMaster>> masters;
   for (unsigned m = 0; m < cfg.masters.size(); ++m) {
     masters.push_back(std::make_unique<tlm::TlmMaster>(
         static_cast<ahb::MasterId>(m), bus, std::move(scripts[m])));
-    kernel.add(*masters.back());
   }
-  kernel.run_until(
-      [&] {
-        return std::all_of(masters.begin(), masters.end(),
-                           [](const auto& m) { return m->finished(); }) &&
-               bus.quiescent();
-      },
-      200000);
+  const auto done = [&] {
+    return std::all_of(masters.begin(), masters.end(),
+                       [](const auto& m) { return m->finished(); }) &&
+           bus.quiescent();
+  };
+  sim::Cycle now = 0;
+  for (; now < 200000 && !done(); ++now) {
+    for (const auto& m : masters) {
+      m->evaluate(now);
+    }
+    bus.evaluate(now);
+  }
   std::uint64_t per_cycle_completed = 0;
   for (const auto& m : masters) {
     per_cycle_completed += m->completed();
@@ -135,7 +135,7 @@ void expect_leap_matches_per_cycle(const core::PlatformConfig& cfg,
   EXPECT_EQ(per_cycle_completed, completed);
 
   const core::SimResult leaped = core::run_tlm(cfg);
-  EXPECT_EQ(leaped.ran_cycles, kernel.now());
+  EXPECT_EQ(leaped.ran_cycles, now);
   EXPECT_EQ(leaped.completed, completed);
 }
 

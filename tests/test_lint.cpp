@@ -155,7 +155,7 @@ TEST(LintRules, SnprintfIsNotPrintf) {
 
 TEST(LintRules, StdFunctionInSimFlagged) {
   const auto f = lint_one(
-      "src/sim/cycle_kernel.hpp",
+      "src/sim/clock.hpp",
       "#include <functional>\nstd::function<void(int)> cb_;\n");
   EXPECT_EQ(count_rule(f, "sim/no-std-function"), 1u);
 }
@@ -163,7 +163,7 @@ TEST(LintRules, StdFunctionInSimFlagged) {
 TEST(LintRules, StdFunctionAllowMarkerAndScopeRespected) {
   // Same-line allow marker opts a setup-time callable out.
   const auto allowed = lint_one(
-      "src/sim/cycle_kernel.hpp",
+      "src/sim/clock.hpp",
       "std::function<void()> setup_;  // lint:allow-std-function\n");
   EXPECT_EQ(count_rule(allowed, "sim/no-std-function"), 0u);
   // Outside src/sim/ the rule does not apply (tlm test hooks keep

@@ -204,23 +204,6 @@ TEST(Pipeline, RoundRobinDisabledFallsToPriority) {
   EXPECT_EQ(p.arbitrate(f.ctx).value(), 1);  // fixed priority: lowest index
 }
 
-TEST(Pipeline, TraceReportsSevenStages) {
-  Fixture f;
-  f.request(0);
-  FilterPipeline p;
-  std::vector<std::pair<std::string_view, CandidateMask>> trace;
-  p.arbitrate(f.ctx, &trace);
-  ASSERT_EQ(trace.size(), 7u);
-  EXPECT_EQ(trace[0].first, "request");
-  EXPECT_EQ(trace[6].first, "priority");
-}
-
-TEST(Pipeline, StagesExposedForIntrospection) {
-  FilterPipeline p;
-  ASSERT_EQ(p.stages().size(), 7u);
-  EXPECT_EQ(p.stages()[2]->name(), "urgency");
-}
-
 // Property: any combination of enabled filters and any requesting subset
 // still yields exactly one winner from the requesting set.
 class PipelineMaskProperty : public ::testing::TestWithParam<std::uint8_t> {};

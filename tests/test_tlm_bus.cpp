@@ -8,9 +8,7 @@
 
 #include "assertions/assert.hpp"
 #include "assertions/violation.hpp"
-#include "sim/cycle_kernel.hpp"
 #include "tlm/bus.hpp"
-#include "tlm/ddrc.hpp"
 #include "tlm/master.hpp"
 
 namespace {
@@ -27,20 +25,28 @@ ddr::Geometry geom4() {
   return g;
 }
 
+/// Single-channel DDR subsystem at aperture offset 0.
+ddr::ChannelSet one_channel(const ddr::DdrTiming& timing) {
+  return ddr::ChannelSet({ddr::ChannelConfig{timing, geom4()}},
+                         ddr::Interleave{});
+}
+
 struct Rig {
   ahb::BusConfig cfg;
   ahb::QosRegisterFile qos;
   chk::ViolationLog log;
-  TlmDdrc ddrc;
-  sim::CycleKernel kernel;
+  ddr::ChannelSet dram;
   std::unique_ptr<AhbPlusBus> bus;
+  sim::Cycle now = 0;
 
   explicit Rig(unsigned masters = 2, bool checkers = true)
-      : qos(masters), ddrc(ddr::toy_timing(), geom4(), 0) {
-    bus = std::make_unique<AhbPlusBus>(cfg, qos, ddrc, masters,
+      : qos(masters), dram(one_channel(ddr::toy_timing())) {
+    bus = std::make_unique<AhbPlusBus>(cfg, qos, dram, 0, masters,
                                        checkers ? &log : nullptr);
-    kernel.add(*bus);
   }
+
+  /// Advance the bus one cycle.
+  void step() { bus->evaluate(now++); }
 
   /// Run one transaction through the port by hand; returns (txn, cycles).
   std::pair<ahb::Transaction, sim::Cycle> run_txn(ahb::MasterId m,
@@ -50,12 +56,12 @@ struct Rig {
     ahb::Transaction out;
     for (sim::Cycle c = 0; c < limit; ++c) {
       if (!requested) {
-        bus->request(m, t, kernel.now());
+        bus->request(m, t, now);
         requested = true;
       } else if (bus->poll_done(m, out)) {
-        return {out, kernel.now()};
+        return {out, now};
       }
-      kernel.step();
+      step();
     }
     ADD_FAILURE() << "transaction did not complete";
     return {out, limit};
@@ -113,19 +119,19 @@ TEST(TlmBus, WriteAbsorbedWhileBusIsBusy) {
   sim::Cycle m1_issue = 0, m1_fin = 0;
   for (sim::Cycle c = 0; c < 500 && !m1_done; ++c) {
     if (!m0_requested) {
-      rig.bus->request(0, read_txn(0x0, 16), rig.kernel.now());
+      rig.bus->request(0, read_txn(0x0, 16), rig.now);
       m0_requested = true;
     }
-    if (m0_requested && !m1_requested && rig.kernel.now() == 3) {
-      rig.bus->request(1, write_txn(0x800, 4), rig.kernel.now());
-      m1_issue = rig.kernel.now();
+    if (m0_requested && !m1_requested && rig.now == 3) {
+      rig.bus->request(1, write_txn(0x800, 4), rig.now);
+      m1_issue = rig.now;
       m1_requested = true;
     }
     if (m1_requested && rig.bus->poll_done(1, out)) {
       m1_done = true;
-      m1_fin = rig.kernel.now();
+      m1_fin = rig.now;
     }
-    rig.kernel.step();
+    rig.step();
   }
   ASSERT_TRUE(m1_done);
   // Buffered completion: issue + absorb + beats streaming, far less than
@@ -148,22 +154,22 @@ TEST(TlmBus, ReadAfterBufferedWriteIsOrdered) {
   std::vector<ahb::Word> read_data;
   for (sim::Cycle c = 0; c < 1000; ++c) {
     if (!m0_requested) {
-      rig.bus->request(0, read_txn(0x0, 16), rig.kernel.now());
+      rig.bus->request(0, read_txn(0x0, 16), rig.now);
       m0_requested = true;
     }
-    if (rig.kernel.now() == 3 && !m1_write_done && !m1_read_started) {
-      rig.bus->request(1, write_txn(0x900, 2, 0x77), rig.kernel.now());
+    if (rig.now == 3 && !m1_write_done && !m1_read_started) {
+      rig.bus->request(1, write_txn(0x900, 2, 0x77), rig.now);
       m1_read_started = true;  // request in flight
     }
     if (m1_read_started && !m1_write_done &&
         rig.bus->poll_done(1, out)) {
       m1_write_done = true;
-      rig.bus->request(1, read_txn(0x900, 2), rig.kernel.now());
+      rig.bus->request(1, read_txn(0x900, 2), rig.now);
     } else if (m1_write_done && rig.bus->poll_done(1, out)) {
       read_data = out.data;
       break;
     }
-    rig.kernel.step();
+    rig.step();
   }
   ASSERT_EQ(read_data.size(), 2u);
   EXPECT_EQ(read_data[0], 0x77u);
@@ -183,11 +189,11 @@ TEST(TlmBus, LockedTransferHoldsBus) {
 TEST(TlmBus, QuiescentOnlyWhenFullyDrained) {
   Rig rig;
   EXPECT_TRUE(rig.bus->quiescent());
-  rig.bus->request(0, write_txn(0x100, 4), rig.kernel.now());
+  rig.bus->request(0, write_txn(0x100, 4), rig.now);
   EXPECT_FALSE(rig.bus->quiescent());
   ahb::Transaction out;
   for (sim::Cycle c = 0; c < 500; ++c) {
-    rig.kernel.step();
+    rig.step();
     rig.bus->poll_done(0, out);
     if (rig.bus->quiescent()) {
       break;
@@ -199,14 +205,14 @@ TEST(TlmBus, QuiescentOnlyWhenFullyDrained) {
 TEST(TlmBus, PollGrantReflectsOwnership) {
   Rig rig;
   EXPECT_EQ(rig.bus->poll_grant(0), GrantPoll::kWait);
-  rig.bus->request(0, read_txn(0x0, 4), rig.kernel.now());
+  rig.bus->request(0, read_txn(0x0, 4), rig.now);
   bool saw_granted = false;
   ahb::Transaction out;
   for (sim::Cycle c = 0; c < 200 && !rig.bus->poll_done(0, out); ++c) {
     if (rig.bus->poll_grant(0) == GrantPoll::kGranted) {
       saw_granted = true;
     }
-    rig.kernel.step();
+    rig.step();
   }
   EXPECT_TRUE(saw_granted);
   EXPECT_EQ(rig.bus->poll_grant(0), GrantPoll::kWait);  // back to idle
@@ -227,22 +233,21 @@ TEST(TlmBus, MalformedTransactionAsserts) {
 
 TEST(TlmBus, WriteBufferDisabledStillCorrect) {
   ahb::QosRegisterFile qos(2);
-  TlmDdrc ddrc(ddr::toy_timing(), geom4(), 0);
+  ddr::ChannelSet dram = one_channel(ddr::toy_timing());
   chk::ViolationLog log;
   ahb::BusConfig cfg;
   cfg.write_buffer_depth = 0;
-  AhbPlusBus bus(cfg, qos, ddrc, 2, &log);
-  sim::CycleKernel kernel;
-  kernel.add(bus);
-  bus.request(0, write_txn(0x100, 4, 0x9), kernel.now());
+  AhbPlusBus bus(cfg, qos, dram, 0, 2, &log);
+  sim::Cycle now = 0;
+  bus.request(0, write_txn(0x100, 4, 0x9), now);
   ahb::Transaction out;
   for (sim::Cycle c = 0; c < 500 && !bus.poll_done(0, out); ++c) {
-    kernel.step();
+    bus.evaluate(now++);
   }
   EXPECT_EQ(bus.write_buffer().profile().absorbed, 0u);
-  bus.request(0, read_txn(0x100, 1), kernel.now());
+  bus.request(0, read_txn(0x100, 1), now);
   for (sim::Cycle c = 0; c < 500 && !bus.poll_done(0, out); ++c) {
-    kernel.step();
+    bus.evaluate(now++);
   }
   EXPECT_EQ(out.data.at(0), 0x9u);
   EXPECT_EQ(log.errors(), 0u);
@@ -252,11 +257,9 @@ TEST(TlmBus, MasterComponentDrivesScript) {
   // End-to-end with TlmMaster components and generated traffic.
   ahb::BusConfig cfg;
   ahb::QosRegisterFile qos(2);
-  TlmDdrc ddrc(ddr::ddr266(), geom4(), 0);
+  ddr::ChannelSet dram = one_channel(ddr::ddr266());
   chk::ViolationLog log;
-  AhbPlusBus bus(cfg, qos, ddrc, 2, &log);
-  sim::CycleKernel kernel;
-  kernel.add(bus);
+  AhbPlusBus bus(cfg, qos, dram, 0, 2, &log);
 
   traffic::PatternConfig pat;
   pat.kind = traffic::PatternKind::kCpu;
@@ -267,12 +270,15 @@ TEST(TlmBus, MasterComponentDrivesScript) {
   TlmMaster m0(0, bus, traffic::make_script(pat, 0));
   pat.base = 8192;
   TlmMaster m1(1, bus, traffic::make_script(pat, 1));
-  kernel.add(m0);
-  kernel.add(m1);
 
-  kernel.run_until(
-      [&] { return m0.finished() && m1.finished() && bus.quiescent(); },
-      100000);
+  // Each cycle: the masters act, then the bus advances.
+  for (sim::Cycle now = 0;
+       now < 100000 && !(m0.finished() && m1.finished() && bus.quiescent());
+       ++now) {
+    m0.evaluate(now);
+    m1.evaluate(now);
+    bus.evaluate(now);
+  }
   EXPECT_TRUE(m0.finished());
   EXPECT_TRUE(m1.finished());
   EXPECT_EQ(m0.completed(), 30u);

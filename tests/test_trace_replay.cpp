@@ -397,6 +397,29 @@ TEST(TraceReplay, RetiredBinaryImageFailsCleanly) {
   std::remove(ckpt.c_str());
 }
 
+TEST(TraceReplay, TraceToolsNameTheMalformedFile) {
+  // `trace info` and `trace slice` name the file in a parse error, as run
+  // and lint do.
+  const std::string trace =
+      std::filesystem::absolute("trace_replay_malformed.trace");
+  {
+    std::ofstream os(trace);
+    os << "0 R 100 4 NOSUCHBURST 1\n";
+  }
+  const std::string out_path =
+      std::filesystem::absolute("trace_replay_malformed.slice");
+  const std::string error = "error: trace '" + trace + "': trace line 1: ";
+  for (const std::string& args :
+       {"trace info " + trace, "trace slice " + trace + " --out " + out_path}) {
+    const auto [code, out] = run_cli(args);
+    EXPECT_GT(code, 0) << args << "\n" << out;
+    EXPECT_EQ(count_of(out, "trace line"), 1u) << args << "\n" << out;
+    EXPECT_NE(out.find(error), std::string::npos) << args << "\n" << out;
+  }
+  EXPECT_FALSE(std::filesystem::exists(out_path));
+  std::remove(trace.c_str());
+}
+
 TEST(TraceReplay, DirectoryTracePathRejected) {
   // Regression: an openable directory used to resolve into an empty
   // workload with trace_loaded = true (on Linux, ifstream opens a

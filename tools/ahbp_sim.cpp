@@ -558,7 +558,12 @@ int cmd_trace(const std::string& action, const std::string& path,
   file.source = traffic::StimulusSource::kTrace;
   file.trace_path = path;
   traffic::resolve(file);
-  const traffic::Script script = traffic::load_trace(file.trace_text, 0);
+  traffic::Script script;
+  try {
+    script = traffic::load_trace(file.trace_text, 0);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error("trace '" + path + "': " + e.what());
+  }
 
   if (action == "info") {
     std::cout << "file:    " << path << " (" << file.trace_text.size()

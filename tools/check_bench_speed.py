@@ -18,9 +18,9 @@ their min and IQR.
 Also re-asserts the artifact's shape invariants (shape_ok, positive
 throughputs, a consistent spread per row, phase tables) so the gate subsumes the old shape check, and
 that the fresh run simulated exactly what the reference did: the same
-`items`, and identical `cycles` on every row of both files.  Simulated
-cycles do not depend on the host, so any difference is a behaviour change,
-not noise.
+`items`, and identical `cycles` and `kernel_activity` (TLM component
+evaluations, RTL delta cycles) on every row of both files.  Neither depends
+on the host, so any difference is a behaviour change, not noise.
 
 usage: check_bench_speed.py NEW.json REFERENCE.json [--tolerance 0.85]
 """
@@ -72,10 +72,11 @@ def main():
         f"{sorted(ref['models'])}"
     )
     for m, row in new["models"].items():
-        assert row["cycles"] == ref["models"][m]["cycles"], (
-            f"{m}: fresh run simulated {row['cycles']} cycles, reference "
-            f"{ref['models'][m]['cycles']}"
-        )
+        for key in ("cycles", "kernel_activity"):
+            assert row[key] == ref["models"][m][key], (
+                f"{m}: fresh run has {key} {row[key]}, reference "
+                f"{ref['models'][m][key]}"
+            )
 
     models = sorted(new["models"])
     if not models:
