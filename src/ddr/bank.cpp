@@ -7,13 +7,6 @@ namespace ahbp::ddr {
 
 // ----------------------------------------------------------------- Bank
 
-BankState Bank::state(sim::Cycle now) const noexcept {
-  if (row_open_) {
-    return now < column_ready_ ? BankState::kActivating : BankState::kActive;
-  }
-  return now < idle_at_ ? BankState::kPrecharging : BankState::kIdle;
-}
-
 bool Bank::can_activate(sim::Cycle now) const noexcept {
   if (row_open_) {
     return false;  // must precharge first
@@ -103,13 +96,6 @@ BankEngine::BankEngine(const DdrTiming& timing, const Geometry& geom)
   for (std::uint32_t b = 0; b < geom_.banks; ++b) {
     banks_.emplace_back(timing_);
   }
-}
-
-const Bank& BankEngine::bank(std::uint32_t b) const {
-  if (b >= banks_.size()) {
-    throw std::out_of_range("BankEngine: bank index");
-  }
-  return banks_[b];
 }
 
 Bank& BankEngine::bank(std::uint32_t b) {
@@ -220,14 +206,6 @@ sim::Cycle BankEngine::issue(const Command& cmd, sim::Cycle now) {
       return 0;
   }
   return 0;
-}
-
-BankState BankEngine::bank_state(std::uint32_t b, sim::Cycle now) const {
-  return bank(b).state(now);
-}
-
-std::uint32_t BankEngine::open_row(std::uint32_t b) const {
-  return bank(b).open_row();
 }
 
 std::uint32_t BankEngine::idle_bank_mask(sim::Cycle now) const {

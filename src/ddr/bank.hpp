@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "ddr/commands.hpp"
@@ -37,7 +38,12 @@ class Bank {
  public:
   explicit Bank(const DdrTiming& t) : t_(&t) {}
 
-  BankState state(sim::Cycle now) const noexcept;
+  BankState state(sim::Cycle now) const noexcept {
+    if (row_open_) {
+      return now < column_ready_ ? BankState::kActivating : BankState::kActive;
+    }
+    return now < idle_at_ ? BankState::kPrecharging : BankState::kIdle;
+  }
   /// Row currently open (valid when state is kActivating/kActive).
   std::uint32_t open_row() const noexcept { return open_row_; }
 
@@ -101,8 +107,19 @@ class BankEngine {
 
   // --- queries used by the controller and the BI ---
 
-  BankState bank_state(std::uint32_t b, sim::Cycle now) const;
-  std::uint32_t open_row(std::uint32_t b) const;
+  /// Bank `b`'s FSM (throws std::out_of_range past banks()): one lookup
+  /// for a caller that queries several of its registers.
+  const Bank& bank(std::uint32_t b) const {
+    if (b >= banks_.size()) {
+      throw std::out_of_range("BankEngine: bank index");
+    }
+    return banks_[b];
+  }
+
+  BankState bank_state(std::uint32_t b, sim::Cycle now) const {
+    return bank(b).state(now);
+  }
+  std::uint32_t open_row(std::uint32_t b) const { return bank(b).open_row(); }
 
   /// Bitmap of banks whose state is kIdle (used for the BI "idle bank"
   /// information the paper describes).
@@ -147,7 +164,6 @@ class BankEngine {
   void restore_state(state::StateReader& r);
 
  private:
-  const Bank& bank(std::uint32_t b) const;
   Bank& bank(std::uint32_t b);
 
   DdrTiming timing_;

@@ -348,14 +348,6 @@ void ChannelSet::put_write_beat(sim::Cycle now, ahb::Word w) {
   advance(now);
 }
 
-void ChannelSet::set_hint(std::optional<ChannelCoord> hint) {
-  for (std::uint32_t ch = 0; ch < channels(); ++ch) {
-    engines_[ch]->set_hint(hint && hint->channel == ch
-                               ? std::optional<Coord>(hint->coord)
-                               : std::nullopt);
-  }
-}
-
 std::uint32_t ChannelSet::idle_bank_mask(sim::Cycle now) const {
   if (channels() == 1) {
     return engines_[0]->idle_bank_mask(now);
@@ -377,11 +369,6 @@ bool ChannelSet::access_permitted(sim::Cycle now) const noexcept {
     }
   }
   return true;
-}
-
-BankAffinity ChannelSet::affinity_for(ahb::Addr offset, sim::Cycle now) const {
-  return engines_[ilv_.channel_of(offset)]->affinity_for(ilv_.local_of(offset),
-                                                         now);
 }
 
 std::size_t ChannelSet::pending_write_chunks() const noexcept {

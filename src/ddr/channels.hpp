@@ -93,6 +93,30 @@ std::vector<ChannelConfig> resolve_channels(
 /// slices and the arbiter's wire lookups.
 std::vector<std::uint32_t> bank_bases(const std::vector<ChannelConfig>& cfgs);
 
+/// Decode-once memo for a BI coordinate.  An announced or requested
+/// address stays put for many cycles, so it is decoded when it changes,
+/// not on every cycle or arbitration round that reads it.  A cache, not
+/// model state: a restored platform starts with an empty memo.
+class CoordMemo {
+ public:
+  /// Coordinates of aperture offset `offset`; `decode(offset)` runs only
+  /// when `offset` differs from the previous call's.
+  template <typename Decode>
+  const ChannelCoord& of(ahb::Addr offset, Decode&& decode) {
+    if (!valid_ || offset != offset_) {
+      coord_ = decode(offset);
+      offset_ = offset;
+      valid_ = true;
+    }
+    return coord_;
+  }
+
+ private:
+  bool valid_ = false;
+  ahb::Addr offset_ = 0;
+  ChannelCoord coord_;
+};
+
 /// N independent DdrcEngine channels behind an Interleave, presenting the
 /// single-engine cycle protocol to the AHB-side wrappers: one bus
 /// transaction at a time, `step()` once per cycle, beat polls in between.
@@ -156,7 +180,13 @@ class ChannelSet {
 
   /// BI next-transaction hint, routed to the owning channel (the others
   /// have their hints cleared).  std::nullopt clears every channel.
-  void set_hint(std::optional<ChannelCoord> hint);
+  void set_hint(std::optional<ChannelCoord> hint) {
+    for (std::uint32_t ch = 0; ch < channels(); ++ch) {
+      engines_[ch]->set_hint(hint && hint->channel == ch
+                                 ? std::optional<Coord>(hint->coord)
+                                 : std::nullopt);
+    }
+  }
 
   /// Decode an aperture offset for BI hint plumbing.
   ChannelCoord coord_of(ahb::Addr offset) const {
@@ -176,8 +206,10 @@ class ChannelSet {
   /// Access permission: false while *any* channel must win a refresh.
   bool access_permitted(sim::Cycle now) const noexcept;
 
-  /// Affinity of the bank targeted by aperture offset `offset`.
-  BankAffinity affinity_for(ahb::Addr offset, sim::Cycle now) const;
+  /// Affinity of the bank at decoded coordinates `c` (see coord_of).
+  BankAffinity affinity_for(const ChannelCoord& c, sim::Cycle now) const {
+    return engines_[c.channel]->affinity_for(c.coord, now);
+  }
 
   // ---------------------------------------------------------- inspection
 

@@ -180,16 +180,8 @@ void DdrcEngine::put_write_beat(sim::Cycle now, ahb::Word w) {
 
 // ----------------------------------------------------------------- hints
 
-void DdrcEngine::set_hint(std::optional<Coord> hint) { hint_ = hint; }
-
 bool DdrcEngine::access_permitted(sim::Cycle now) const noexcept {
   return !engine_.refresh_due(now) && !engine_.in_refresh(now);
-}
-
-BankAffinity DdrcEngine::affinity_for(ahb::Addr offset, sim::Cycle now) const {
-  const Coord c = geom_.decode(offset);
-  return bank_affinity(engine_.bank_state(c.bank, now),
-                       engine_.open_row(c.bank), c);
 }
 
 // --------------------------------------------------------- command pick

@@ -138,7 +138,7 @@ class DdrcEngine {
   /// BI next-transaction information (arbiter -> DDRC).  Pass std::nullopt
   /// to clear.  The engine only acts on hints for banks the current
   /// transaction (and pending write drain) does not need.
-  void set_hint(std::optional<Coord> hint);
+  void set_hint(std::optional<Coord> hint) { hint_ = hint; }
 
   /// BI information DDRC -> arbiter: per-bank idle bitmap.
   std::uint32_t idle_bank_mask(sim::Cycle now) const {
@@ -149,9 +149,12 @@ class DdrcEngine {
   /// which the arbiter should hold off granting new DDR transactions.
   bool access_permitted(sim::Cycle now) const noexcept;
 
-  /// Affinity of the bank targeted by `offset` (BI -> arbiter, evaluated on
-  /// behalf of a requesting master).
-  BankAffinity affinity_for(ahb::Addr offset, sim::Cycle now) const;
+  /// Affinity of the bank at decoded coordinates `c` (BI -> arbiter,
+  /// evaluated on behalf of a requesting master).
+  BankAffinity affinity_for(const Coord& c, sim::Cycle now) const {
+    const Bank& bank = engine_.bank(c.bank);
+    return bank_affinity(bank.state(now), bank.open_row(), c);
+  }
 
   // ---------------------------------------------------------- inspection
 

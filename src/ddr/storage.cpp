@@ -23,6 +23,19 @@ ahb::Word SparseMemory::read(ahb::Addr addr, unsigned bytes) const {
   if (bytes == 0 || bytes > 8) {
     throw std::invalid_argument("SparseMemory::read: bytes must be 1..8");
   }
+  const ahb::Addr off = addr % kPageBytes;
+  if (off + bytes <= kPageBytes) {
+    // The common case: the access lies in one page, found once.
+    const auto* page = find_page(addr - off);
+    if (page == nullptr) {
+      return 0;
+    }
+    ahb::Word v = 0;
+    for (unsigned i = 0; i < bytes; ++i) {
+      v |= static_cast<ahb::Word>((*page)[off + i]) << (8 * i);
+    }
+    return v;
+  }
   ahb::Word v = 0;
   for (unsigned i = 0; i < bytes; ++i) {
     const ahb::Addr a = addr + i;
@@ -37,6 +50,14 @@ ahb::Word SparseMemory::read(ahb::Addr addr, unsigned bytes) const {
 void SparseMemory::write(ahb::Addr addr, ahb::Word value, unsigned bytes) {
   if (bytes == 0 || bytes > 8) {
     throw std::invalid_argument("SparseMemory::write: bytes must be 1..8");
+  }
+  const ahb::Addr off = addr % kPageBytes;
+  if (off + bytes <= kPageBytes) {
+    std::vector<std::uint8_t>& page = touch_page(addr - off);
+    for (unsigned i = 0; i < bytes; ++i) {
+      page[off + i] = static_cast<std::uint8_t>((value >> (8 * i)) & 0xFF);
+    }
+    return;
   }
   for (unsigned i = 0; i < bytes; ++i) {
     const ahb::Addr a = addr + i;

@@ -1,5 +1,7 @@
 #include "rtl/arbiter.hpp"
 
+#include <bit>
+
 #include "assertions/assert.hpp"
 #include "rtl/write_buffer.hpp"
 
@@ -23,24 +25,31 @@ RtlArbiter::RtlArbiter(sim::EventKernel& kernel, const ahb::BusConfig& cfg,
       now_(now),
       arbiter_(cfg, qos),
       proc_(kernel, "rtl-arbiter", [this] { at_edge(); }),
-      masters_(static_cast<unsigned>(mw_.size())),
-      prev_req_(masters_, false),
-      take_pulse_(masters_, false),
-      absorbed_wait_(masters_, false) {
+      masters_(static_cast<unsigned>(mw_.size())) {
+  AHBP_ASSERT_MSG(masters_ < 32, "RtlArbiter supports up to 31 masters");
   bank_base_ = ddr::bank_bases(channels_);
+  ctx_.cfg = &cfg_;
+  ctx_.qos = &qos_;
+  ctx_.masters = masters_;
+  ctx_.candidates.resize(masters_ + 1);
+  target_.resize(masters_ + 1);
   if (qos_log != nullptr) {
     qos_checker_.emplace(qos_, *qos_log);
   }
 }
 
-ddr::BankAffinity RtlArbiter::wire_affinity(ahb::Addr bus_addr) const {
-  const ahb::Addr off = bus_addr - ddr_base_;
-  const std::uint32_t ch = ilv_.channel_of(off);
-  const ddr::Coord coord = channels_[ch].geom.decode(ilv_.local_of(off));
-  const std::uint32_t w = bank_base_[ch] + coord.bank;
+ddr::BankAffinity RtlArbiter::wire_affinity(unsigned col,
+                                            ahb::Addr bus_addr) {
+  const ddr::ChannelCoord& t =
+      target_[col].of(bus_addr - ddr_base_, [this](ahb::Addr off) {
+        const std::uint32_t ch = ilv_.channel_of(off);
+        return ddr::ChannelCoord{
+            ch, channels_[ch].geom.decode(ilv_.local_of(off))};
+      });
+  const std::uint32_t w = bank_base_[t.channel] + t.coord.bank;
   return ddr::bank_affinity(
       static_cast<ddr::BankState>(sh_.bi_bank_state[w]->read()),
-      sh_.bi_open_row[w]->read(), coord);
+      sh_.bi_open_row[w]->read(), t.coord);
 }
 
 void RtlArbiter::bind_clock(sim::Signal<bool>& clk) {
@@ -61,25 +70,24 @@ ahb::Transaction RtlArbiter::txn_from_sideband(unsigned m) const {
 
 void RtlArbiter::track_requests(sim::Cycle now) {
   for (unsigned m = 0; m < masters_; ++m) {
+    const std::uint32_t bit = 1U << m;
     const bool r = mw_[m]->hbusreq.read();
-    if (absorbed_wait_[m]) {
+    if ((absorbed_wait_ & bit) != 0) {
       // Taken by the write buffer; wait for the master to drop HBUSREQ so
       // the stale high cannot be double-served.
       if (!r) {
-        absorbed_wait_[m] = false;
+        absorbed_wait_ &= ~bit;
       }
-    } else if (r && !prev_req_[m]) {
+    } else if (r && (prev_req_ & bit) == 0) {
       arbiter_.on_request(static_cast<ahb::MasterId>(m), now);
     }
-    prev_req_[m] = r;
+    prev_req_ = r ? prev_req_ | bit : prev_req_ & ~bit;
   }
   // Deassert last edge's take pulses (one-cycle strobes).
-  for (unsigned m = 0; m < masters_; ++m) {
-    if (take_pulse_[m]) {
-      sh_.wbuf_take[m]->write(false);
-      take_pulse_[m] = false;
-    }
+  for (std::uint32_t p = take_pulse_; p != 0; p &= p - 1) {
+    sh_.wbuf_take[static_cast<unsigned>(std::countr_zero(p))]->write(false);
   }
+  take_pulse_ = 0;
 }
 
 void RtlArbiter::track_transfer_progress() {
@@ -155,17 +163,15 @@ void RtlArbiter::do_arbitration(sim::Cycle now) {
     return;
   }
 
-  tlm::ArbContext ctx;
+  tlm::ArbContext& ctx = ctx_;
   ctx.now = now;
-  ctx.cfg = &cfg_;
-  ctx.qos = &qos_;
-  ctx.masters = masters_;
-  ctx.candidates.resize(masters_ + 1);
+  ctx.lock_owner = ahb::kNoMaster;
+  ctx.candidates.assign(masters_ + 1, tlm::ArbCandidate{});
   bool any_hazard = false;
   for (unsigned m = 0; m < masters_; ++m) {
     tlm::ArbCandidate& c = ctx.candidates[m];
     if (!qos_.state(static_cast<ahb::MasterId>(m)).requesting ||
-        absorbed_wait_[m]) {
+        ((absorbed_wait_ >> m) & 1U) != 0) {
       continue;
     }
     const ahb::Transaction t = txn_from_sideband(m);
@@ -174,7 +180,7 @@ void RtlArbiter::do_arbitration(sim::Cycle now) {
     c.locked = t.locked;
     c.beats = t.beats;
     if (cfg_.bi_hints_enabled && t.addr >= ddr_base_) {
-      c.affinity = wire_affinity(t.addr);
+      c.affinity = wire_affinity(m, t.addr);
     }
     if (wbuf_.overlaps(t.addr, t.addr + t.bytes())) {
       c.blocked_by_hazard = true;
@@ -193,7 +199,7 @@ void RtlArbiter::do_arbitration(sim::Cycle now) {
     if (cfg_.bi_hints_enabled) {
       const ahb::Addr a = sh_.wb_req_addr.read();
       if (a >= ddr_base_) {
-        wc.affinity = wire_affinity(a);
+        wc.affinity = wire_affinity(masters_, a);
       }
     }
   }
@@ -241,7 +247,7 @@ void RtlArbiter::do_takes(sim::Cycle now) {
   }
   for (unsigned m = 0; m < masters_; ++m) {
     if (!qos_.state(static_cast<ahb::MasterId>(m)).requesting ||
-        absorbed_wait_[m]) {
+        ((absorbed_wait_ >> m) & 1U) != 0) {
       continue;
     }
     if (unpack_dir(mw_[m]->req_dir.read()) != ahb::Dir::kWrite) {
@@ -272,8 +278,8 @@ void RtlArbiter::do_takes(sim::Cycle now) {
     ahb::Transaction t = txn_from_sideband(m);
     wbuf_.reserve(m, t);
     sh_.wbuf_take[m]->write(true);
-    take_pulse_[m] = true;
-    absorbed_wait_[m] = true;
+    take_pulse_ |= 1U << m;
+    absorbed_wait_ |= 1U << m;
     qos_.state(static_cast<ahb::MasterId>(m)).requesting = false;
   }
 }
@@ -288,7 +294,7 @@ std::string RtlArbiter::debug_string() const {
   for (unsigned m = 0; m < masters_; ++m) {
     s += " m" + std::to_string(m) + "(req=" +
          (qos_.state(static_cast<ahb::MasterId>(m)).requesting ? "1" : "0") +
-         ",abs=" + (absorbed_wait_[m] ? "1" : "0") + ")";
+         ",abs=" + (((absorbed_wait_ >> m) & 1U) != 0 ? "1" : "0") + ")";
   }
   s += "}";
   return s;
@@ -320,10 +326,10 @@ void RtlArbiter::save_state(state::StateWriter& w) const {
   if (qos_checker_) {
     qos_checker_->save_state(w);
   }
-  const auto save_flags = [&w](const std::vector<bool>& v) {
-    w.put_u64(v.size());
-    for (const bool b : v) {
-      w.put_bool(b);
+  const auto save_flags = [&w, this](std::uint32_t flags) {
+    w.put_u64(masters_);
+    for (unsigned m = 0; m < masters_; ++m) {
+      w.put_bool(((flags >> m) & 1U) != 0);
     }
   };
   save_flags(prev_req_);
@@ -351,13 +357,15 @@ void RtlArbiter::restore_state(state::StateReader& r) {
   if (qos_checker_) {
     qos_checker_->restore_state(r);
   }
-  const auto restore_flags = [&r](std::vector<bool>& v, const char* what) {
-    if (r.get_u64() != v.size()) {
+  const auto restore_flags = [&r, this](std::uint32_t& flags,
+                                        const char* what) {
+    if (r.get_u64() != masters_) {
       throw state::StateError(std::string("RtlArbiter: ") + what +
                               " width mismatch");
     }
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      v[i] = r.get_bool();
+    flags = 0;
+    for (unsigned m = 0; m < masters_; ++m) {
+      flags |= r.get_bool() ? 1U << m : 0U;
     }
   };
   restore_flags(prev_req_, "prev_req");

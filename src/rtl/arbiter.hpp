@@ -67,9 +67,10 @@ class RtlArbiter {
   void do_arbitration(sim::Cycle now);
   void do_takes(sim::Cycle now);
   ahb::Transaction txn_from_sideband(unsigned m) const;
-  /// Affinity of a candidate's target bank, read from the BI wires of the
-  /// channel the interleave routes `bus_addr` to.
-  ddr::BankAffinity wire_affinity(ahb::Addr bus_addr) const;
+  /// Affinity of candidate `col`'s target bank (col == masters_: the
+  /// write buffer), read from the BI wires of the channel the interleave
+  /// routes `bus_addr` to.
+  ddr::BankAffinity wire_affinity(unsigned col, ahb::Addr bus_addr);
 
   const ahb::BusConfig& cfg_;
   ahb::QosRegisterFile& qos_;
@@ -82,13 +83,19 @@ class RtlArbiter {
   ahb::Addr ddr_base_;
   const sim::Cycle* now_;
   tlm::Arbiter arbiter_;  ///< shared bookkeeping + FilterPipeline
+  /// Arbitration context reused every round, so a round never touches
+  /// the heap.
+  tlm::ArbContext ctx_;
+  /// Per candidate column: its target address, decoded once per address.
+  std::vector<ddr::CoordMemo> target_;
   std::optional<chk::QosChecker> qos_checker_;
   sim::Process proc_;
 
   unsigned masters_;
-  std::vector<bool> prev_req_;
-  std::vector<bool> take_pulse_;   ///< takes driven last edge (to deassert)
-  std::vector<bool> absorbed_wait_;///< taken; waiting for HBUSREQ to drop
+  // Per-master flags, bit m for master m.
+  std::uint32_t prev_req_ = 0;
+  std::uint32_t take_pulse_ = 0;     ///< takes driven last edge (to deassert)
+  std::uint32_t absorbed_wait_ = 0;  ///< taken; waiting for HBUSREQ to drop
 
   // Pending (granted but not yet switched-in) transaction.
   bool pending_ = false;

@@ -86,7 +86,9 @@ void RtlDdrc::sample_inputs(sim::Cycle now) {
   // 5. Bank-prep hint from the (unconsumed) announce, routed to the
   //    owning channel.
   if (cfg_.bi_hints_enabled && announce_) {
-    set_.set_hint(set_.coord_of(announce_->addr - base_));
+    set_.set_hint(hint_.of(announce_->addr - base_, [this](ahb::Addr off) {
+      return set_.coord_of(off);
+    }));
   } else {
     set_.set_hint(std::nullopt);
   }

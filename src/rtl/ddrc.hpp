@@ -71,6 +71,7 @@ class RtlDdrc {
     bool is_write = false;
   };
   std::optional<Announce> announce_;
+  ddr::CoordMemo hint_;  ///< the announce's decoded bank-prep target
 
   // Current bus-side transfer bookkeeping (write data-phase gating).
   bool cur_active_ = false;

@@ -1,11 +1,13 @@
 #pragma once
 
-#include <memory>
+#include <array>
+#include <string>
 #include <vector>
 
 #include "ddr/channels.hpp"
 #include "rtl/signals.hpp"
 #include "sim/event_kernel.hpp"
+#include "sim/fixed_array.hpp"
 
 /// \file detail.hpp
 /// Register-transfer detail layer of the signal-level reference model.
@@ -43,10 +45,6 @@ class DetailLayer {
   void bind_clock(sim::Signal<bool>& clk);
 
  private:
-  void make_column_detail(sim::EventKernel& k, unsigned i);
-  void make_datapath_detail(sim::EventKernel& k);
-  void make_arbiter_detail(sim::EventKernel& k);
-  void make_ddrc_detail(sim::EventKernel& k);
   void at_edge();
 
   SharedWires& sh_;
@@ -54,61 +52,79 @@ class DetailLayer {
   const ddr::ChannelSet& set_;
   const sim::Cycle* now_;
 
+  // Every register lives in place in the layer or in a FixedArray, built in
+  // the order below, which is the order its wires register with the kernel.
+
   // --- per-column pipeline registers and address incrementers ---
   struct ColumnDetail {
-    std::unique_ptr<sim::Signal<std::uint64_t>> haddr_r;   ///< addr stage reg
-    std::unique_ptr<sim::Signal<std::uint64_t>> hwdata_r;  ///< data stage reg
-    std::unique_ptr<sim::Signal<std::uint8_t>> htrans_r;
-    std::unique_ptr<sim::Signal<std::uint64_t>> haddr_next; ///< incrementer
-    std::unique_ptr<sim::Signal<std::uint8_t>> size_bytes_w;///< size decode
-    std::unique_ptr<sim::Signal<bool>> active_w;            ///< htrans != IDLE
-    std::unique_ptr<sim::Process> incr_proc;                 ///< comb cone
+    ColumnDetail(sim::EventKernel& k, unsigned i, MasterWires& col);
+    sim::Signal<std::uint64_t> haddr_r;   ///< addr stage reg
+    sim::Signal<std::uint64_t> hwdata_r;  ///< data stage reg
+    sim::Signal<std::uint8_t> htrans_r;
+    sim::Signal<std::uint64_t> haddr_next;  ///< incrementer
+    sim::Signal<std::uint8_t> size_bytes_w; ///< size decode
+    sim::Signal<bool> active_w;             ///< htrans != IDLE
+    sim::Process incr_proc;                 ///< comb cone
   };
-  std::vector<ColumnDetail> col_detail_;
+  sim::FixedArray<ColumnDetail> col_detail_;
 
   // --- shared datapath: byte lanes + read-data register ---
-  std::vector<std::unique_ptr<sim::Signal<std::uint8_t>>> wlane_;
-  std::vector<std::unique_ptr<sim::Signal<std::uint8_t>>> rlane_;
-  std::unique_ptr<sim::Signal<std::uint64_t>> hrdata_r_;
-  std::unique_ptr<sim::Process> wlane_proc_;
-  std::unique_ptr<sim::Process> rlane_proc_;
+  struct ByteLane {
+    sim::Signal<std::uint8_t> w;
+    sim::Signal<std::uint8_t> r;
+  };
+  sim::FixedArray<ByteLane> lanes_;
+  sim::Signal<std::uint64_t> hrdata_r_;
+  sim::Process wlane_proc_;
+  sim::Process rlane_proc_;
 
   // --- arbiter combinational structure ---
-  std::unique_ptr<sim::Signal<std::uint32_t>> req_mask_w_;
-  std::unique_ptr<sim::Signal<std::uint8_t>> req_count_w_;
-  std::unique_ptr<sim::Signal<std::uint8_t>> first_req_w_;
-  std::vector<std::unique_ptr<sim::Signal<bool>>> stage_pass_;  ///< per master
-  std::unique_ptr<sim::Process> arb_proc_;
+  sim::Signal<std::uint32_t> req_mask_w_;
+  sim::Signal<std::uint8_t> req_count_w_;
+  sim::Signal<std::uint8_t> first_req_w_;
+  sim::FixedArray<sim::Signal<bool>> stage_pass_;  ///< per master
+  sim::Process arb_proc_;
 
   // --- DDRC register-transfer state ---
   struct BankDetail {
-    std::unique_ptr<sim::Signal<std::uint8_t>> state_onehot;
-    std::unique_ptr<sim::Signal<std::uint32_t>> row_r;
-    std::unique_ptr<sim::Signal<std::uint32_t>> ready_timer;  ///< to column-ready
+    BankDetail(sim::EventKernel& k, const std::string& pre,
+               const ddr::Bank& bank);
+    /// The FSM these registers shadow (an engine's banks never move).
+    const ddr::Bank& fsm;
+    sim::Signal<std::uint8_t> state_onehot;
+    sim::Signal<std::uint32_t> row_r;
+    sim::Signal<std::uint32_t> ready_timer;  ///< to column-ready
     /// The individual interval counters an RTL controller decrements every
     /// cycle a constraint is outstanding: tRCD, tRAS, tRP, tRC, tWR.
-    std::vector<std::unique_ptr<sim::Signal<std::uint32_t>>> timers;
+    std::array<sim::Signal<std::uint32_t>, 5> timers;
   };
-  std::vector<BankDetail> banks_;
-  /// (channel, channel-local bank) of each banks_ entry.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> bank_of_;
-  std::unique_ptr<sim::Signal<std::uint32_t>> wq_level_;   ///< write queue level
-  std::unique_ptr<sim::Signal<std::uint32_t>> xfer_beat_;  ///< current beat ctr
+  /// One block per bank of every channel, channel-major.
+  static sim::FixedArray<BankDetail> make_banks(sim::EventKernel& k,
+                                                const ddr::ChannelSet& set);
+  sim::FixedArray<BankDetail> banks_;
+  sim::Signal<std::uint32_t> wq_level_;   ///< write queue level
+  sim::Signal<std::uint32_t> xfer_beat_;  ///< current beat ctr
   /// Per-channel tREFI countdowns (channels may override tREFI).
-  std::vector<std::unique_ptr<sim::Signal<std::uint32_t>>> refresh_ctr_;
+  sim::FixedArray<sim::Signal<std::uint32_t>> refresh_ctr_;
 
-  // --- write-buffer RAM and DDRC data FIFOs (real storage cells) ---
-  std::vector<std::unique_ptr<sim::Signal<std::uint64_t>>> wbuf_ram_;
-  std::vector<std::unique_ptr<sim::Signal<std::uint64_t>>> rd_fifo_;
-  std::vector<std::unique_ptr<sim::Signal<std::uint64_t>>> wr_fifo_;
-  std::unique_ptr<sim::Signal<std::uint8_t>> rd_ptr_;
-  std::unique_ptr<sim::Signal<std::uint8_t>> wr_ptr_;
+  // --- DDRC data FIFOs and write-buffer RAM (real storage cells) ---
+  struct FifoCell {
+    sim::Signal<std::uint64_t> rd;
+    sim::Signal<std::uint64_t> wr;
+  };
+  sim::FixedArray<FifoCell> fifo_;
+  sim::Signal<std::uint8_t> rd_ptr_;
+  sim::Signal<std::uint8_t> wr_ptr_;
+  sim::FixedArray<sim::Signal<std::uint64_t>> wbuf_ram_;
 
   // --- per-master QoS state registers (slack / budget counters) ---
-  std::vector<std::unique_ptr<sim::Signal<std::uint32_t>>> slack_ctr_;
-  std::vector<std::unique_ptr<sim::Signal<std::uint32_t>>> wait_ctr_;
+  struct QosRegs {
+    sim::Signal<std::uint32_t> slack;
+    sim::Signal<std::uint32_t> wait;
+  };
+  sim::FixedArray<QosRegs> qos_;
 
-  std::unique_ptr<sim::Process> edge_proc_;
+  sim::Process edge_proc_;
 };
 
 }  // namespace ahbp::rtl

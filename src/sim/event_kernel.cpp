@@ -14,13 +14,6 @@ namespace ahbp::sim {
 Process::Process(EventKernel& kernel, std::string name, Body body)
     : kernel_(kernel), name_(std::move(name)), body_(std::move(body)) {}
 
-void Process::trigger() { kernel_.make_runnable(*this); }
-
-void Process::run() {
-  scheduled_ = false;
-  body_();
-}
-
 // -------------------------------------------------------------- SignalBase
 
 SignalBase::SignalBase(EventKernel& kernel, std::string name)
@@ -32,23 +25,7 @@ SignalBase::~SignalBase() { kernel_.unregister_signal(*this); }
 
 void SignalBase::subscribe(Process& proc, Edge edge) {
   subs_.push_back(Subscription{&proc, edge});
-}
-
-void SignalBase::request_update() {
-  if (!update_pending_) {
-    update_pending_ = true;
-    kernel_.request_update(*this);
-  }
-}
-
-void SignalBase::notify(bool rose, bool fell) {
-  for (const Subscription& s : subs_) {
-    const bool fire = s.edge == Edge::kAny || (s.edge == Edge::kPos && rose) ||
-                      (s.edge == Edge::kNeg && fell);
-    if (fire) {
-      s.proc->trigger();
-    }
-  }
+  sub_edges_ = static_cast<std::uint8_t>(sub_edges_ | edge_bit(edge));
 }
 
 // --------------------------------------------------------------- BitVector
@@ -89,15 +66,6 @@ unsigned BitVector::commit() {
 
 // ------------------------------------------------------------- EventKernel
 
-void EventKernel::make_runnable(Process& p) {
-  if (!p.scheduled_) {
-    p.scheduled_ = true;
-    runnable_.push_back(&p);
-  }
-}
-
-void EventKernel::request_update(SignalBase& s) { updates_.push_back(&s); }
-
 void EventKernel::register_signal(SignalBase& s) { signals_.push_back(&s); }
 
 void EventKernel::unregister_signal(SignalBase& s) {
@@ -105,28 +73,24 @@ void EventKernel::unregister_signal(SignalBase& s) {
                  signals_.end());
 }
 
-void EventKernel::schedule(Tick delay, EventFn fn) {
-  const Tick at = now_ + delay;
-  if (delay < kTimedWheel) {
-    // Near-future (the clock's next-edge case): O(1) bucket append.  The
-    // window is narrower than the ring, so a bucket never mixes timestamps,
-    // and appends arrive in seq order by construction.
-    timed_ring_[at % kTimedWheel].push_back(TimedEvent{at, seq_++, std::move(fn)});
-  } else {
-    timed_heap_.push_back(TimedEvent{at, seq_++, std::move(fn)});
-    std::push_heap(timed_heap_.begin(), timed_heap_.end(), TimedEventLater{});
-  }
-  ++timed_count_;
+void EventKernel::schedule_far(Tick at, EventFn fn) {
+  timed_heap_.emplace_back(at, seq_++, std::move(fn));
+  std::push_heap(timed_heap_.begin(), timed_heap_.end(), TimedEventLater{});
 }
 
 Tick EventKernel::next_event_time() const noexcept {
-  Tick best = timed_heap_.empty() ? kNeverTick : timed_heap_.front().at;
-  for (const auto& bucket : timed_ring_) {
-    if (!bucket.empty() && bucket.front().at < best) {
-      best = bucket.front().at;
+  const Tick heap_at =
+      timed_heap_.empty() ? kNeverTick : timed_heap_.front().at;
+  // Every ring entry lies in [now_, now_ + kTimedWheel) and each bucket
+  // holds one timestamp, so the first non-empty bucket from now_ holds the
+  // ring's earliest event.
+  for (Tick d = 0; d < kTimedWheel; ++d) {
+    const auto& bucket = timed_ring_[(now_ + d) % kTimedWheel];
+    if (!bucket.empty()) {
+      return std::min(bucket.front().at, heap_at);
     }
   }
-  return best;
+  return heap_at;
 }
 
 void EventKernel::dispatch_at(Tick at) {
@@ -134,26 +98,33 @@ void EventKernel::dispatch_at(Tick at) {
   // keep collecting until the timestep is exhausted, exactly like the old
   // top()/pop() loop did.
   for (;;) {
-    dispatch_scratch_.clear();
     std::vector<TimedEvent>& bucket = timed_ring_[at % kTimedWheel];
-    for (TimedEvent& e : bucket) {
-      dispatch_scratch_.push_back(std::move(e));
-    }
-    bucket.clear();
-    while (!timed_heap_.empty() && timed_heap_.front().at == at) {
-      std::pop_heap(timed_heap_.begin(), timed_heap_.end(), TimedEventLater{});
-      dispatch_scratch_.push_back(std::move(timed_heap_.back()));
-      timed_heap_.pop_back();
-    }
-    if (dispatch_scratch_.empty()) {
+    const bool heap_due = !timed_heap_.empty() && timed_heap_.front().at == at;
+    if (bucket.empty() && !heap_due) {
       return;
     }
-    // Bucket entries and heap pops are each seq-sorted, but interleave
-    // arbitrarily; restore global FIFO order among same-time events.
-    std::sort(dispatch_scratch_.begin(), dispatch_scratch_.end(),
-              [](const TimedEvent& a, const TimedEvent& b) {
-                return a.seq < b.seq;
-              });
+    // Take the bucket whole: a swap, not a move per event.  Handlers then
+    // append delay-0 events to the emptied bucket, not to the batch being
+    // dispatched.
+    dispatch_scratch_.clear();
+    dispatch_scratch_.swap(bucket);
+    if (heap_due) {
+      const bool from_ring = !dispatch_scratch_.empty();
+      while (!timed_heap_.empty() && timed_heap_.front().at == at) {
+        std::pop_heap(timed_heap_.begin(), timed_heap_.end(),
+                      TimedEventLater{});
+        dispatch_scratch_.push_back(std::move(timed_heap_.back()));
+        timed_heap_.pop_back();
+      }
+      // Bucket entries and heap pops are each seq-sorted, but interleave
+      // arbitrarily; restore global FIFO order among same-time events.
+      if (from_ring) {
+        std::sort(dispatch_scratch_.begin(), dispatch_scratch_.end(),
+                  [](const TimedEvent& a, const TimedEvent& b) {
+                    return a.seq < b.seq;
+                  });
+      }
+    }
     timed_count_ -= dispatch_scratch_.size();
     for (TimedEvent& e : dispatch_scratch_) {
       ++stats_.timed_events;
@@ -173,11 +144,13 @@ void EventKernel::run_delta_rounds() {
 
     run_scratch_.clear();
     run_scratch_.swap(runnable_);
-    for (Process* p : run_scratch_) {
-      ++stats_.process_activations;
-      if (profiler_ == nullptr) {
+    stats_.process_activations += run_scratch_.size();
+    if (profiler_ == nullptr) {
+      for (Process* p : run_scratch_) {
         p->run();
-      } else {
+      }
+    } else {
+      for (Process* p : run_scratch_) {
         if (p->prof_id_ == ~0U) {
           p->prof_id_ = profiler_->phase("rtl." + p->name_);
         }

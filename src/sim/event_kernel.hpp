@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_function.hpp"
@@ -64,12 +65,15 @@ class Process {
   Process& operator=(const Process&) = delete;
 
   /// Make the process runnable in the current evaluation phase (deduped).
-  void trigger();
+  inline void trigger();
 
   std::string_view name() const noexcept { return name_; }
 
   /// Invoked by the kernel during the evaluate phase.
-  void run();
+  void run() {
+    scheduled_ = false;
+    body_();
+  }
 
  private:
   friend class EventKernel;
@@ -114,15 +118,30 @@ class SignalBase {
 
  protected:
   /// Ask the kernel to call commit() in the next update phase (deduped).
-  void request_update();
+  inline void request_update();
 
   /// True between request_update() and the commit that services it.
   bool update_pending() const noexcept { return update_pending_; }
 
   /// Notify subscribers after a committed change.  `rose`/`fell` qualify the
   /// transition for edge-filtered subscribers (bool signals only; other
-  /// types pass rose=fell=false and only kAny subscribers fire).
-  void notify(bool rose, bool fell);
+  /// types pass rose=fell=false and only kAny subscribers fire).  Returns
+  /// at once when no subscriber fires on this transition: a signal nobody
+  /// subscribes to, or a clock's falling edge seen only by posedge logic.
+  void notify(bool rose, bool fell) {
+    const unsigned fires = edge_bit(Edge::kAny) |
+                           (rose ? edge_bit(Edge::kPos) : 0U) |
+                           (fell ? edge_bit(Edge::kNeg) : 0U);
+    if ((sub_edges_ & fires) == 0) {
+      return;
+    }
+    for (const Subscription& s : subs_) {
+      if (s.edge == Edge::kAny || (s.edge == Edge::kPos && rose) ||
+          (s.edge == Edge::kNeg && fell)) {
+        s.proc->trigger();
+      }
+    }
+  }
 
  private:
   friend class EventKernel;
@@ -140,6 +159,11 @@ class SignalBase {
   std::string name_;
   std::vector<Subscription> subs_;
   bool update_pending_ = false;
+  std::uint8_t sub_edges_ = 0;  ///< edge_bit() of every subscription kind
+
+  static constexpr unsigned edge_bit(Edge e) noexcept {
+    return 1U << static_cast<unsigned>(e);
+  }
 };
 
 /// A two-phase signal: `write()` stores a next value that becomes visible to
@@ -320,10 +344,22 @@ class EventKernel {
   Tick now() const noexcept { return now_; }
 
   /// Schedule a one-shot callback `delay` ticks from now (delay 0 means the
-  /// next delta of the current timestep).  The handler is moved, never
-  /// copied; near-future events (delay < kTimedWheel) go to the bucketed
-  /// ring, the rest to the overflow heap.
-  void schedule(Tick delay, EventFn fn);
+  /// next delta of the current timestep).  The handler is built in place
+  /// in its queue slot; near-future events (delay < kTimedWheel — the
+  /// clock's next edge) take an O(1) append to the bucketed ring, the rest
+  /// go to the overflow heap.  The window is narrower than the ring, so a
+  /// bucket never mixes timestamps, and appends arrive in seq order.
+  template <typename F>
+  void schedule(Tick delay, F&& fn) {
+    const Tick at = now_ + delay;
+    if (delay < kTimedWheel) {
+      timed_ring_[at % kTimedWheel].emplace_back(at, seq_++,
+                                                 std::forward<F>(fn));
+    } else {
+      schedule_far(at, EventFn(std::forward<F>(fn)));
+    }
+    ++timed_count_;
+  }
 
   /// Run until simulated time reaches `until` (inclusive of events at
   /// `until`) or until no events remain.
@@ -366,19 +402,31 @@ class EventKernel {
   friend class Process;
   friend class SignalBase;
 
-  void make_runnable(Process& p);
-  void request_update(SignalBase& s);
+  void make_runnable(Process& p) {
+    if (!p.scheduled_) {
+      p.scheduled_ = true;
+      runnable_.push_back(&p);
+    }
+  }
+  void request_update(SignalBase& s) { updates_.push_back(&s); }
   void register_signal(SignalBase& s);
   void unregister_signal(SignalBase& s);
+
+  /// Push an event beyond the ring window onto the overflow heap.
+  void schedule_far(Tick at, EventFn fn);
 
   /// Run evaluate/update delta rounds until quiescent.
   void run_delta_rounds();
 
-  /// Earliest pending timed event, or kNeverTick.
+  /// Earliest pending timed event, or kNeverTick.  Scans the ring from
+  /// now_ and stops at the first non-empty bucket: for a clock that is
+  /// half a period of buckets, not the whole ring.
   Tick next_event_time() const noexcept;
 
   /// Dispatch every timed event at timestamp `at` (including events
   /// scheduled for `at` by the handlers themselves), in (at, seq) order.
+  /// A timestep fed by the ring alone (the clock's lone edge event) is
+  /// taken by one vector swap and needs no sort.
   void dispatch_at(Tick at);
 
   struct TimedEvent {
@@ -413,5 +461,16 @@ class EventKernel {
   KernelStats stats_;
   obs::SelfProfiler* profiler_ = nullptr;
 };
+
+// The per-write path, defined here so every signal write inlines it.
+
+inline void Process::trigger() { kernel_.make_runnable(*this); }
+
+inline void SignalBase::request_update() {
+  if (!update_pending_) {
+    update_pending_ = true;
+    kernel_.request_update(*this);
+  }
+}
 
 }  // namespace ahbp::sim

@@ -33,7 +33,8 @@ AhbPlusBus::AhbPlusBus(const ahb::BusConfig& cfg, ahb::QosRegisterFile& qos,
       arbiter_(cfg_, qos),
       wbuf_(cfg.write_buffer_depth),
       slots_(masters),
-      master_profiles_(masters) {
+      master_profiles_(masters),
+      target_(masters + 1) {
   AHBP_ASSERT_MSG(masters >= 1 && masters <= 30,
                   "AhbPlusBus supports 1..30 masters");
   AHBP_ASSERT_MSG(ahb::valid_beat_bytes(cfg.data_width_bytes),
@@ -162,6 +163,12 @@ void AhbPlusBus::skip_idle(sim::Cycle from, sim::Cycle to) {
   }
 }
 
+const ddr::ChannelCoord& AhbPlusBus::decode(ddr::CoordMemo& memo,
+                                            ahb::Addr addr) {
+  return memo.of(addr - ddr_base_,
+                 [this](ahb::Addr off) { return dram_.coord_of(off); });
+}
+
 // ------------------------------------------------------------ evaluate
 
 void AhbPlusBus::evaluate(sim::Cycle now) {
@@ -183,7 +190,7 @@ void AhbPlusBus::evaluate(sim::Cycle now) {
     const ahb::Transaction& next = *granted_ == masters_
                                        ? wbuf_.front()
                                        : slots_[*granted_].txn;
-    hint = dram_.coord_of(next.addr - ddr_base_);
+    hint = decode(hint_, next.addr);
   }
   dram_.set_hint(hint);
 
@@ -408,7 +415,7 @@ void AhbPlusBus::do_arbitration(sim::Cycle now) {
     c.beats = s.txn.beats;
     c.requested_at = s.txn.issued_at;
     c.affinity = cfg_.bi_hints_enabled
-                     ? dram_.affinity_for(s.txn.addr - ddr_base_, now)
+                     ? dram_.affinity_for(decode(target_[m], s.txn.addr), now)
                      : ddr::BankAffinity::kIdle;
     // Read-after-write (and write-after-write) ordering against the
     // buffer: an overlapping transaction must not be granted before the
@@ -434,7 +441,8 @@ void AhbPlusBus::do_arbitration(sim::Cycle now) {
     wc.is_write = true;
     wc.beats = next.beats;
     wc.affinity = cfg_.bi_hints_enabled
-                      ? dram_.affinity_for(next.addr - ddr_base_, now)
+                      ? dram_.affinity_for(decode(target_[masters_], next.addr),
+                                           now)
                       : ddr::BankAffinity::kIdle;
   }
   ctx.wbuf_urgent = wbuf_.urgent();

@@ -143,6 +143,9 @@ class AhbPlusBus final : public state::Snapshottable {
   bool move_data_beat(sim::Cycle now);
   void do_completion(sim::Cycle now);
   void do_arbitration(sim::Cycle now);
+  /// BI coordinates of bus address `addr`, decoded once per address
+  /// through `memo`.
+  const ddr::ChannelCoord& decode(ddr::CoordMemo& memo, ahb::Addr addr);
   void do_absorption(sim::Cycle now);
   void emit_view(sim::Cycle now, chk::BusCycleView view);
   /// Charge this cycle to one stall class per master (always on — reads
@@ -184,6 +187,9 @@ class AhbPlusBus final : public state::Snapshottable {
   /// copies (script pops, write-buffer entries) allocate, so allocations
   /// scale with transactions, never with cycles (test_alloc pins this).
   ArbContext ctx_;
+  ddr::CoordMemo hint_;  ///< the granted transaction's BI hint
+  /// Per candidate (masters, then the write buffer): its target address.
+  std::vector<ddr::CoordMemo> target_;
 };
 
 }  // namespace ahbp::tlm

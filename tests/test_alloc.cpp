@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 
@@ -60,13 +61,13 @@ namespace {
 
 using namespace ahbp;
 
-/// Heap allocations per retired transaction over 100k TLM cycles of
-/// `preset`, after a 20k-cycle warm-up (construction and stimulus
+/// Heap allocations per retired transaction over 100k cycles of `preset`
+/// on `model`, after a 20k-cycle warm-up (construction and stimulus
 /// expansion happen before either).
-double tlm_allocs_per_txn(const char* preset) {
+double allocs_per_txn(const char* preset, core::ModelKind model) {
   SCOPED_TRACE(preset);
   core::Platform p(scenario::ScenarioRegistry::builtin().build(preset, 20'000),
-                   core::ModelKind::kTlm);
+                   model);
   p.run(20'000);
   const std::uint64_t done_before = p.result().completed;
 
@@ -83,8 +84,18 @@ double tlm_allocs_per_txn(const char* preset) {
 
 TEST(AllocFree, TlmAllocationsScaleWithTransactionsNotCycles) {
   for (const char* preset : {"table1/cpu-1", "wbuf-stress"}) {
-    EXPECT_LE(tlm_allocs_per_txn(preset), 4.0) << preset;
+    EXPECT_LE(allocs_per_txn(preset, core::ModelKind::kTlm), 4.0) << preset;
   }
+}
+
+TEST(AllocFree, RtlAllocationsScaleWithTransactionsNotCycles) {
+  // The RTL allocates per transaction like the TLM (script pops, the
+  // master's read-data buffer, write-buffer entries); an arbitration round
+  // reuses one context, so no allocation scales with rounds or cycles.
+  const double per_txn =
+      allocs_per_txn("table1/cpu-1", core::ModelKind::kRtl);
+  std::printf("RTL allocations per retired transaction: %.2f\n", per_txn);
+  EXPECT_LE(per_txn, 2.5);
 }
 
 TEST(AllocFree, EventKernelDispatchesMillionEventsWithoutHeapChurn) {

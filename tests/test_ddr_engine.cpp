@@ -283,13 +283,13 @@ TEST(DdrcEngine, RemainingBeatsTracksProgress) {
 TEST(DdrcEngine, AffinityReflectsBankState) {
   const Geometry g = geom4();
   DdrcEngine e(toy_timing(), g);
-  EXPECT_EQ(e.affinity_for(0x00, 0), BankAffinity::kIdle);
+  EXPECT_EQ(e.affinity_for(g.decode(0x00), 0), BankAffinity::kIdle);
   e.begin(read_req(0x00, 1, ahbp::ahb::Burst::kSingle), 0);
   TimingChecker chk(toy_timing(), g);
   drain_txn(e, chk, 0);
   // Row stays open after the read: same row = kOpenRow, other row = conflict.
-  EXPECT_EQ(e.affinity_for(0x04, 20), BankAffinity::kOpenRow);
-  EXPECT_EQ(e.affinity_for(0x04 + g.row_bytes() * g.banks, 20),
+  EXPECT_EQ(e.affinity_for(g.decode(0x04), 20), BankAffinity::kOpenRow);
+  EXPECT_EQ(e.affinity_for(g.decode(0x04 + g.row_bytes() * g.banks), 20),
             BankAffinity::kConflict);
 }
 

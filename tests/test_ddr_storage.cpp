@@ -45,6 +45,21 @@ TEST(Storage, CrossPageAccess) {
   EXPECT_EQ(m.pages(), 2u);
 }
 
+TEST(Storage, StraddlingReadWithOneMaterializedPageReadsZeroHalf) {
+  const ahbp::ahb::Addr a = SparseMemory::kPageBytes * 3 - 4;
+  // Only the low page exists: the high half of the read is zero.
+  SparseMemory lo;
+  lo.write(a, 0xDDCCBBAA, 4);
+  EXPECT_EQ(lo.read(a, 8), 0xDDCCBBAAull);
+  EXPECT_EQ(lo.pages(), 1u);
+  // Only the high page exists: the low half of the read is zero.
+  SparseMemory hi;
+  hi.write(a + 4, 0x44332211, 4);
+  EXPECT_EQ(hi.read(a, 8), 0x4433221100000000ull);
+  EXPECT_EQ(hi.read(a + 2, 4), 0x22110000u);
+  EXPECT_EQ(hi.pages(), 1u);
+}
+
 TEST(Storage, EightByteAccess) {
   SparseMemory m;
   m.write(0x40, 0x0123456789ABCDEFull, 8);

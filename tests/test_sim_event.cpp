@@ -434,6 +434,83 @@ TEST(TimedEvents, NestedSchedulingWorks) {
   EXPECT_EQ(fired, 2);
 }
 
+// The timed fast path: a tick fed by the ring alone (the clock's edge)
+// dispatches without a sort, a tick that mixes ring and heap events merges
+// them by seq, and a handler's delay-0 event runs in the same timed phase.
+
+TEST(TimedEvents, DelayZeroFromClockEdgeHandlerRunsBeforeCommit) {
+  EventKernel k;
+  Clock clk(k, "clk", 2);  // first rising edge at tick 1
+  std::vector<std::string> order;
+  bool clk_seen_by_chained = true;
+  // Same tick as the edge, scheduled after the clock armed itself.
+  k.schedule(1, [&] {
+    order.push_back("edge-handler");
+    k.schedule(0, [&] {
+      order.push_back("chained");
+      clk_seen_by_chained = clk.signal().read();
+    });
+  });
+  k.run_until(1);
+  EXPECT_EQ(order, (std::vector<std::string>{"edge-handler", "chained"}));
+  // Both handlers run in tick 1's timed phase, before the edge commits.
+  EXPECT_FALSE(clk_seen_by_chained);
+  EXPECT_TRUE(clk.signal().read());
+  EXPECT_EQ(k.now(), 1u);
+  EXPECT_EQ(k.stats().timed_events, 3u);  // toggle + handler + chained
+}
+
+TEST(TimedEvents, HeapAndRingEventsOnOneTickKeepSeqOrder) {
+  EventKernel k;
+  std::vector<int> order;
+  // Far future: beyond the ring window, so these go to the overflow heap.
+  static_assert(EventKernel::kTimedWheel <= 20);
+  k.schedule(20, [&] { order.push_back(1); });
+  k.schedule(30, [&] { order.push_back(5); });
+  k.schedule(20, [&] { order.push_back(2); });
+  k.run_until(10);
+  // Near future from tick 10: the same tick 20, now through the ring.
+  k.schedule(10, [&] { order.push_back(3); });
+  k.schedule(10, [&] {
+    order.push_back(4);
+    k.schedule(0, [&] { order.push_back(40); });
+  });
+  k.run_until(20);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 40}));
+  k.run_until(30);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 40, 5}));
+  EXPECT_TRUE(k.idle());
+}
+
+TEST(TimedEvents, EachDispatchedEventCountsOnce) {
+  EventKernel k;
+  Clock clk(k, "clk", 2);
+  std::uint64_t handlers = 0;
+  struct Chain {
+    EventKernel* k;
+    std::uint64_t* n;
+    int left;
+    void operator()() {
+      ++*n;
+      if (left-- > 0) {
+        k->schedule(0, *this);  // same tick
+      }
+    }
+  };
+  k.schedule(3, Chain{&k, &handlers, 2});    // ring, on a clock edge
+  k.schedule(40, Chain{&k, &handlers, 0});   // heap
+  k.schedule(40, [&handlers] { ++handlers; });
+  k.run_until(41);
+  clk.stop();
+  k.run_until(100);  // the pending toggle drains as a no-op handler
+  // A toggle at every tick in [1, 41] (21 of them rising), one drained
+  // toggle at 42, and 3 + 1 + 1 handlers.
+  EXPECT_EQ(clk.posedges(), 21u);
+  EXPECT_EQ(handlers, 5u);
+  EXPECT_EQ(k.stats().timed_events, 41u + 1u + handlers);
+  EXPECT_TRUE(k.idle());
+}
+
 TEST(Clock, GeneratesExpectedPosedges) {
   EventKernel k;
   Clock clk(k, "clk", 2);
