@@ -1,7 +1,7 @@
 // Event-kernel micro-benchmarks (google-benchmark): the per-primitive cost
 // of the signal-level model (clocked processes, signal commits, delta
-// cascades, timed events) — the side of the paper's §4 speed ratio that
-// pays for signals.  The TLM has no kernel: its parts call each other
+// cascades) — the side of the paper's §4 speed ratio that pays for
+// signals.  The TLM has no kernel: its parts call each other
 // directly, so bench_speed's whole-model rows measure it.
 
 #include <benchmark/benchmark.h>
@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/clock.hpp"
 #include "sim/event_kernel.hpp"
 
 namespace {
@@ -29,7 +28,7 @@ std::string numbered(const char* prefix, Int i) {
 void BM_EventKernelClockedProcesses(benchmark::State& state) {
   const int procs = static_cast<int>(state.range(0));
   EventKernel k;
-  Clock clk(k, "clk", 2);
+  Clock clk(k, "clk");
   std::vector<std::unique_ptr<Signal<std::uint64_t>>> sigs;
   std::vector<std::unique_ptr<Process>> ps;
   std::uint64_t n = 0;
@@ -39,7 +38,7 @@ void BM_EventKernelClockedProcesses(benchmark::State& state) {
     auto* sig = sigs.back().get();
     ps.push_back(std::make_unique<Process>(k, numbered("p", i),
                                            [sig, &n] { sig->write(++n); }));
-    clk.signal().subscribe(*ps.back(), Edge::kPos);
+    clk.subscribe(*ps.back());
   }
   Tick t = 0;
   for (auto _ : state) {
@@ -125,19 +124,5 @@ void BM_DeltaCascade(benchmark::State& state) {
                           static_cast<std::int64_t>(depth));
 }
 BENCHMARK(BM_DeltaCascade)->Arg(4)->Arg(16)->Arg(64);
-
-// Timed-event scheduling throughput (the clock generator's cost class).
-void BM_TimedEvents(benchmark::State& state) {
-  EventKernel k;
-  Tick t = 0;
-  std::uint64_t fired = 0;
-  for (auto _ : state) {
-    k.schedule(1, [&fired] { ++fired; });
-    ++t;
-    k.run_until(t);
-  }
-  benchmark::DoNotOptimize(fired);
-}
-BENCHMARK(BM_TimedEvents);
 
 }  // namespace

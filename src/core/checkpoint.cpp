@@ -394,12 +394,8 @@ void Platform::save_state(state::StateWriter& w) const {
   w.put_u8(static_cast<std::uint8_t>(im.model));
   if (im.model == ModelKind::kTlm) {
     w.put_u64(im.last_completion);
-    // The TLM clock, under the tag tools/snapshot_manifest.txt records for
-    // it at this state::kFormatVersion.
-    w.begin("cycle-kernel");
     w.put_u64(im.now);
     w.put_u64(im.evaluations);
-    w.end();
     im.qos->save_state(w);
     im.log.save_state(w);
     im.dram->save_state(w);
@@ -425,10 +421,8 @@ void Platform::restore_state(state::StateReader& r) {
   }
   if (im.model == ModelKind::kTlm) {
     im.last_completion = r.get_u64();
-    r.enter("cycle-kernel");
     im.now = r.get_u64();
     im.evaluations = r.get_u64();
-    r.leave();
     im.qos->restore_state(r);
     im.log.restore_state(r);
     im.dram->restore_state(r);

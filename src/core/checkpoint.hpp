@@ -100,7 +100,7 @@ class Platform : public state::Snapshottable {
   void enable_vcd(std::ostream& os);
 
   /// RTL only: the event kernel's activity counters (deltas, process
-  /// activations, signal commits, timed events) so far.
+  /// activations, signal commits, clock edges) so far.
   const sim::KernelStats& rtl_kernel_stats() const;
 
   /// Observe every retired master transaction, in both models: `fn` gets

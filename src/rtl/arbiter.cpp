@@ -52,8 +52,8 @@ ddr::BankAffinity RtlArbiter::wire_affinity(unsigned col,
       sh_.bi_open_row[w]->read(), t.coord);
 }
 
-void RtlArbiter::bind_clock(sim::Signal<bool>& clk) {
-  clk.subscribe(proc_, sim::Edge::kPos);
+void RtlArbiter::bind_clock(sim::Clock& clk) {
+  clk.subscribe(proc_);
 }
 
 ahb::Transaction RtlArbiter::txn_from_sideband(unsigned m) const {

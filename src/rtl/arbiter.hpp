@@ -44,7 +44,7 @@ class RtlArbiter {
   RtlArbiter(const RtlArbiter&) = delete;
   RtlArbiter& operator=(const RtlArbiter&) = delete;
 
-  void bind_clock(sim::Signal<bool>& clk);
+  void bind_clock(sim::Clock& clk);
 
   std::uint64_t grants() const noexcept { return arbiter_.grants(); }
 

@@ -16,8 +16,8 @@ RtlDdrc::RtlDdrc(sim::EventKernel& kernel,
       now_(now),
       proc_(kernel, "rtl-ddrc", [this] { at_edge(); }) {}
 
-void RtlDdrc::bind_clock(sim::Signal<bool>& clk) {
-  clk.subscribe(proc_, sim::Edge::kPos);
+void RtlDdrc::bind_clock(sim::Clock& clk) {
+  clk.subscribe(proc_);
 }
 
 void RtlDdrc::sample_inputs(sim::Cycle now) {

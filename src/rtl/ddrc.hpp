@@ -35,7 +35,7 @@ class RtlDdrc {
   RtlDdrc(const RtlDdrc&) = delete;
   RtlDdrc& operator=(const RtlDdrc&) = delete;
 
-  void bind_clock(sim::Signal<bool>& clk);
+  void bind_clock(sim::Clock& clk);
 
   const ddr::ChannelSet& channels() const noexcept { return set_; }
   ddr::ChannelSet& channels() noexcept { return set_; }

@@ -186,8 +186,8 @@ DetailLayer::DetailLayer(sim::EventKernel& kernel, SharedWires& shared,
   sh_.wbuf_req.subscribe(arb_proc_);
 }
 
-void DetailLayer::bind_clock(sim::Signal<bool>& clk) {
-  clk.subscribe(edge_proc_, sim::Edge::kPos);
+void DetailLayer::bind_clock(sim::Clock& clk) {
+  clk.subscribe(edge_proc_);
 }
 
 void DetailLayer::at_edge() {

@@ -42,7 +42,7 @@ class DetailLayer {
   DetailLayer(const DetailLayer&) = delete;
   DetailLayer& operator=(const DetailLayer&) = delete;
 
-  void bind_clock(sim::Signal<bool>& clk);
+  void bind_clock(sim::Clock& clk);
 
  private:
   void at_edge();

@@ -11,14 +11,14 @@
 namespace ahbp::rtl {
 
 namespace {
-constexpr sim::Tick kClockPeriod = 2;  // one bus cycle = 2 ticks
+constexpr sim::Tick kTicksPerCycle = 2;  // hclk toggles once per tick
 }
 
 RtlFabric::RtlFabric(const core::PlatformConfig& cfg,
                      std::vector<traffic::Script> scripts)
     : bus_(cfg.bus),
       masters_(static_cast<unsigned>(scripts.size())),
-      clock_(kernel_, "hclk", kClockPeriod),
+      clock_(kernel_, "hclk"),
       // The cycle counter must be the first posedge subscriber: every other
       // process reads the incremented value.
       tick_(kernel_, "cycle-tick", [this] { ++cycle_; }),
@@ -36,7 +36,7 @@ RtlFabric::RtlFabric(const core::PlatformConfig& cfg,
     qos_.program(static_cast<ahb::MasterId>(m), cfg.masters[m].qos);
   }
 
-  clock_.signal().subscribe(tick_, sim::Edge::kPos);
+  clock_.subscribe(tick_);
 
   // Wire columns: one per master plus, last, the write buffer's.
   columns_.reserve(masters_ + 1);
@@ -59,7 +59,7 @@ RtlFabric::RtlFabric(const core::PlatformConfig& cfg,
         on_complete_(static_cast<ahb::MasterId>(m), t);
       }
     };
-    master->bind_clock(clock_.signal());
+    master->bind_clock(clock_);
     rtl_masters_.push_back(std::move(master));
     // Appended, not `"lit" + std::string`: GCC 12 -O3 flags that with a
     // false-positive -Wrestrict.
@@ -73,16 +73,16 @@ RtlFabric::RtlFabric(const core::PlatformConfig& cfg,
       cfg.ddr_base, &cycle_, cfg.enable_checkers ? &log_ : nullptr);
   // Subscription order: arbiter before write buffer (reservation happens
   // before the buffer's capture/drain pass, as in the TLM).
-  arbiter_->bind_clock(clock_.signal());
-  wbuf_->bind_clock(clock_.signal());
+  arbiter_->bind_clock(clock_);
+  wbuf_->bind_clock(clock_);
 
   ddrc_ = std::make_unique<RtlDdrc>(kernel_, ch_cfg_, cfg.interleave,
                                     cfg.ddr_base, bus_, sh_, &cycle_);
-  ddrc_->bind_clock(clock_.signal());
+  ddrc_->bind_clock(clock_);
 
   detail_ = std::make_unique<DetailLayer>(kernel_, sh_, all_cols,
                                           ddrc_->channels(), &cycle_);
-  detail_->bind_clock(clock_.signal());
+  detail_->bind_clock(clock_);
   bitlevel_ = std::make_unique<BitLevelLayer>(kernel_, sh_, all_cols);
 
   make_muxes();
@@ -94,7 +94,7 @@ RtlFabric::RtlFabric(const core::PlatformConfig& cfg,
                            .bus_width_bytes = bus_.data_width_bytes},
         log_);
   }
-  clock_.signal().subscribe(observer_, sim::Edge::kPos);
+  clock_.subscribe(observer_);
 }
 
 void RtlFabric::make_muxes() {
@@ -258,7 +258,7 @@ sim::Cycle RtlFabric::run(sim::Cycle max_cycles) {
     const sim::Cycle to_boundary = 256 - cycle_ % 256;
     const sim::Cycle chunk =
         std::min(to_boundary, max_cycles - (cycle_ - start));
-    kernel_.run_until(kernel_.now() + chunk * kClockPeriod);
+    kernel_.run_until(kernel_.now() + chunk * kTicksPerCycle);
   }
   return cycle_ - start;
 }
@@ -300,7 +300,7 @@ void RtlFabric::set_trace_recorder(unsigned m, traffic::TraceRecorder* rec) {
 
 void RtlFabric::enable_vcd(std::ostream& os) {
   vcd_ = std::make_unique<sim::VcdWriter>(os);
-  vcd_->add_signal(clock_.signal(), 1);
+  vcd_->add_signal(clock_, 1);
   vcd_->add_signal(sh_.hmaster, 8);
   vcd_->add_signal(sh_.htrans, 2);
   // Data buses are as wide as the configured datapath (HSIZE semantics:
@@ -350,7 +350,6 @@ void RtlFabric::save_state(state::StateWriter& w) const {
   w.put_u64(completed_);
   w.put_u32(obs_pending_data_);
   w.put_u32(obs_beat_bytes_);
-  clock_.save_state(w);
   qos_.save_state(w);
   log_.save_state(w);
   bus_profile_.save_state(w);
@@ -379,7 +378,6 @@ void RtlFabric::restore_state(state::StateReader& r) {
   completed_ = r.get_u64();
   obs_pending_data_ = r.get_u32();
   obs_beat_bytes_ = r.get_u32();
-  clock_.restore_state(r);
   qos_.restore_state(r);
   log_.restore_state(r);
   bus_profile_.restore_state(r);

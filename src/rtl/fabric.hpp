@@ -16,7 +16,6 @@
 #include "rtl/master.hpp"
 #include "rtl/signals.hpp"
 #include "rtl/write_buffer.hpp"
-#include "sim/clock.hpp"
 #include "sim/event_kernel.hpp"
 #include "sim/vcd.hpp"
 #include "stats/profiles.hpp"
@@ -103,9 +102,9 @@ class RtlFabric : public state::Snapshottable {
   // ------------------------------------------------------------ snapshot
   // Whole-model checkpoint: counters, every component's FSM registers and
   // every wire's committed value.  Valid between run() calls (the kernel is
-  // settled one tick before the next rising edge, which is exactly the
-  // alignment a freshly constructed fabric starts from — so a restored
-  // fabric resumes cycle-exactly without touching the timed-event queue).
+  // settled with hclk low, one tick before the next rising edge, which is
+  // exactly the alignment a freshly constructed fabric starts from — so a
+  // restored fabric resumes cycle-exactly).
   void save_state(state::StateWriter& w) const override;
   void restore_state(state::StateReader& r) override;
 

@@ -17,8 +17,8 @@ RtlMaster::RtlMaster(sim::EventKernel& kernel, ahb::MasterId id,
       profile_(profile),
       proc_(kernel, "rtl-master" + std::to_string(id), [this] { at_edge(); }) {}
 
-void RtlMaster::bind_clock(sim::Signal<bool>& clk) {
-  clk.subscribe(proc_, sim::Edge::kPos);
+void RtlMaster::bind_clock(sim::Clock& clk) {
+  clk.subscribe(proc_);
 }
 
 std::string_view RtlMaster::state_name() const noexcept {

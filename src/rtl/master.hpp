@@ -36,7 +36,7 @@ class RtlMaster {
   RtlMaster& operator=(const RtlMaster&) = delete;
 
   /// Subscribe the FSM to the clock's rising edge.
-  void bind_clock(sim::Signal<bool>& clk);
+  void bind_clock(sim::Clock& clk);
 
   bool finished() const noexcept {
     return source_.done() && state_ == State::kIdle;

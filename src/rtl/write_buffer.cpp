@@ -18,8 +18,8 @@ RtlWriteBuffer::RtlWriteBuffer(sim::EventKernel& kernel,
       staging_(masters),
       proc_(kernel, "rtl-wbuf", [this] { at_edge(); }) {}
 
-void RtlWriteBuffer::bind_clock(sim::Signal<bool>& clk) {
-  clk.subscribe(proc_, sim::Edge::kPos);
+void RtlWriteBuffer::bind_clock(sim::Clock& clk) {
+  clk.subscribe(proc_);
 }
 
 bool RtlWriteBuffer::can_reserve() const noexcept {

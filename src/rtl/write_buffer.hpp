@@ -38,7 +38,7 @@ class RtlWriteBuffer {
   RtlWriteBuffer(const RtlWriteBuffer&) = delete;
   RtlWriteBuffer& operator=(const RtlWriteBuffer&) = delete;
 
-  void bind_clock(sim::Signal<bool>& clk);
+  void bind_clock(sim::Clock& clk);
 
   // ---- arbiter-facing interface (called within the same edge, after the
   //      arbiter's own process — ordering fixed by subscription order) ----

@@ -23,10 +23,17 @@ SignalBase::SignalBase(EventKernel& kernel, std::string name)
 
 SignalBase::~SignalBase() { kernel_.unregister_signal(*this); }
 
-void SignalBase::subscribe(Process& proc, Edge edge) {
-  subs_.push_back(Subscription{&proc, edge});
-  sub_edges_ = static_cast<std::uint8_t>(sub_edges_ | edge_bit(edge));
+void SignalBase::subscribe(Process& proc) { subs_.push_back(&proc); }
+
+// ------------------------------------------------------------------- Clock
+
+Clock::Clock(EventKernel& kernel, std::string name)
+    : SignalBase(kernel, std::move(name)) {
+  AHBP_ASSERT_MSG(kernel.clock_ == nullptr, "one clock per kernel");
+  kernel.clock_ = this;
 }
+
+Clock::~Clock() { kernel().clock_ = nullptr; }
 
 // --------------------------------------------------------------- BitVector
 
@@ -51,9 +58,8 @@ unsigned BitVector::commit() {
   if (changed == 0) {
     return 0;
   }
-  const bool was_zero = cur_ == 0;
   cur_ = next_;
-  notify(/*rose=*/was_zero, /*fell=*/!was_zero && cur_ == 0);
+  notify();
   // Ascending bit order: the wake order of one-bit signals committed in
   // bit order.
   for (std::uint64_t m = changed & subscribed_; m != 0; m &= m - 1) {
@@ -71,66 +77,6 @@ void EventKernel::register_signal(SignalBase& s) { signals_.push_back(&s); }
 void EventKernel::unregister_signal(SignalBase& s) {
   signals_.erase(std::remove(signals_.begin(), signals_.end(), &s),
                  signals_.end());
-}
-
-void EventKernel::schedule_far(Tick at, EventFn fn) {
-  timed_heap_.emplace_back(at, seq_++, std::move(fn));
-  std::push_heap(timed_heap_.begin(), timed_heap_.end(), TimedEventLater{});
-}
-
-Tick EventKernel::next_event_time() const noexcept {
-  const Tick heap_at =
-      timed_heap_.empty() ? kNeverTick : timed_heap_.front().at;
-  // Every ring entry lies in [now_, now_ + kTimedWheel) and each bucket
-  // holds one timestamp, so the first non-empty bucket from now_ holds the
-  // ring's earliest event.
-  for (Tick d = 0; d < kTimedWheel; ++d) {
-    const auto& bucket = timed_ring_[(now_ + d) % kTimedWheel];
-    if (!bucket.empty()) {
-      return std::min(bucket.front().at, heap_at);
-    }
-  }
-  return heap_at;
-}
-
-void EventKernel::dispatch_at(Tick at) {
-  // Handlers may schedule new events for this same timestamp (delay 0);
-  // keep collecting until the timestep is exhausted, exactly like the old
-  // top()/pop() loop did.
-  for (;;) {
-    std::vector<TimedEvent>& bucket = timed_ring_[at % kTimedWheel];
-    const bool heap_due = !timed_heap_.empty() && timed_heap_.front().at == at;
-    if (bucket.empty() && !heap_due) {
-      return;
-    }
-    // Take the bucket whole: a swap, not a move per event.  Handlers then
-    // append delay-0 events to the emptied bucket, not to the batch being
-    // dispatched.
-    dispatch_scratch_.clear();
-    dispatch_scratch_.swap(bucket);
-    if (heap_due) {
-      const bool from_ring = !dispatch_scratch_.empty();
-      while (!timed_heap_.empty() && timed_heap_.front().at == at) {
-        std::pop_heap(timed_heap_.begin(), timed_heap_.end(),
-                      TimedEventLater{});
-        dispatch_scratch_.push_back(std::move(timed_heap_.back()));
-        timed_heap_.pop_back();
-      }
-      // Bucket entries and heap pops are each seq-sorted, but interleave
-      // arbitrarily; restore global FIFO order among same-time events.
-      if (from_ring) {
-        std::sort(dispatch_scratch_.begin(), dispatch_scratch_.end(),
-                  [](const TimedEvent& a, const TimedEvent& b) {
-                    return a.seq < b.seq;
-                  });
-      }
-    }
-    timed_count_ -= dispatch_scratch_.size();
-    for (TimedEvent& e : dispatch_scratch_) {
-      ++stats_.timed_events;
-      e.fn();
-    }
-  }
 }
 
 void EventKernel::run_delta_rounds() {
@@ -215,18 +161,13 @@ void EventKernel::restore_signals(state::StateReader& r) {
 }
 
 void EventKernel::run_until(Tick until) {
+  AHBP_ASSERT_MSG(clock_ != nullptr, "time advances by the clock");
   run_delta_rounds();
-  for (;;) {
-    const Tick at = next_event_time();
-    if (at == kNeverTick || at > until) {
-      break;
-    }
-    now_ = at;
-    dispatch_at(at);
+  while (now_ < until) {
+    ++now_;
+    clock_->toggle();
+    ++stats_.timed_events;
     run_delta_rounds();
-  }
-  if (now_ < until) {
-    now_ = until;
   }
 }
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -17,7 +16,7 @@ class SelfProfiler;
 }
 
 /// \file event_kernel.hpp
-/// Event-driven simulation kernel with delta cycles.
+/// Event-driven simulation kernel with delta cycles and one clock.
 ///
 /// This kernel hosts the *signal-level* (pin-accurate) reference model.  Its
 /// semantics mirror a classic HDL simulator:
@@ -32,21 +31,23 @@ class SelfProfiler;
 ///     committed back to back.  A write of the value a signal already
 ///     holds (with no other write pending) queues no commit at all: as in
 ///     an HDL simulator, it is not an event.
-///  3. Deltas repeat until no process is runnable, then simulated time
-///     advances to the earliest pending timed event.
+///  3. Deltas repeat until no process is runnable, then time advances one
+///     tick and the kernel toggles its `Clock`.  That edge is the only
+///     timed event there is: the model keeps one clock edge per tick and
+///     nothing finer.
 ///
 /// The kernel keeps activity counters (deltas, process activations, signal
-/// updates) so the speed benchmarks can report *why* signal-level simulation
-/// is slow, not just that it is.
+/// updates, clock edges) so the speed benchmarks can report *why*
+/// signal-level simulation is slow, not just that it is.
 ///
-/// Hot-path engineering: process bodies and timed handlers are move-only
-/// `InlineFunction`s (no heap, no copy-per-event), near-future timed events
-/// (delay < kTimedWheel — the clock's next-edge case) go into a bucketed
-/// ring instead of a binary heap, and the delta loop recycles its scratch
-/// vectors, so the steady-state dispatch loop performs zero allocations.
+/// Hot-path engineering: process bodies are move-only `InlineFunction`s
+/// (no heap, no copy per activation), the per-write path inlines, and the
+/// delta loop recycles its scratch vectors, so the steady-state loop
+/// performs zero allocations.
 
 namespace ahbp::sim {
 
+class Clock;
 class EventKernel;
 class SignalBase;
 
@@ -84,10 +85,6 @@ class Process {
   unsigned prof_id_ = ~0U;  ///< cached self-profiler phase id
 };
 
-/// Edge selector for subscriptions on boolean signals.  Non-bool signals
-/// only support `kAny`.
-enum class Edge : std::uint8_t { kAny, kPos, kNeg };
-
 /// Type-erased base for signals: handles subscriber bookkeeping and the
 /// commit protocol with the kernel.
 class SignalBase {
@@ -98,9 +95,9 @@ class SignalBase {
   SignalBase(const SignalBase&) = delete;
   SignalBase& operator=(const SignalBase&) = delete;
 
-  /// Subscribe a process to value changes.  `edge` other than kAny is only
-  /// meaningful for Signal<bool>.
-  void subscribe(Process& proc, Edge edge = Edge::kAny);
+  /// Subscribe a process to value changes (a `Clock` wakes it on rising
+  /// edges only).  Subscribers wake in subscription order.
+  void subscribe(Process& proc);
 
   std::string_view name() const noexcept { return name_; }
 
@@ -120,26 +117,15 @@ class SignalBase {
   /// Ask the kernel to call commit() in the next update phase (deduped).
   inline void request_update();
 
+  EventKernel& kernel() const noexcept { return kernel_; }
+
   /// True between request_update() and the commit that services it.
   bool update_pending() const noexcept { return update_pending_; }
 
-  /// Notify subscribers after a committed change.  `rose`/`fell` qualify the
-  /// transition for edge-filtered subscribers (bool signals only; other
-  /// types pass rose=fell=false and only kAny subscribers fire).  Returns
-  /// at once when no subscriber fires on this transition: a signal nobody
-  /// subscribes to, or a clock's falling edge seen only by posedge logic.
-  void notify(bool rose, bool fell) {
-    const unsigned fires = edge_bit(Edge::kAny) |
-                           (rose ? edge_bit(Edge::kPos) : 0U) |
-                           (fell ? edge_bit(Edge::kNeg) : 0U);
-    if ((sub_edges_ & fires) == 0) {
-      return;
-    }
-    for (const Subscription& s : subs_) {
-      if (s.edge == Edge::kAny || (s.edge == Edge::kPos && rose) ||
-          (s.edge == Edge::kNeg && fell)) {
-        s.proc->trigger();
-      }
+  /// Wake every subscriber, in subscription order, after a committed change.
+  void notify() {
+    for (Process* p : subs_) {
+      p->trigger();
     }
   }
 
@@ -150,20 +136,10 @@ class SignalBase {
   /// BitVector.
   virtual unsigned commit() = 0;
 
-  struct Subscription {
-    Process* proc;
-    Edge edge;
-  };
-
   EventKernel& kernel_;
   std::string name_;
-  std::vector<Subscription> subs_;
+  std::vector<Process*> subs_;
   bool update_pending_ = false;
-  std::uint8_t sub_edges_ = 0;  ///< edge_bit() of every subscription kind
-
-  static constexpr unsigned edge_bit(Edge e) noexcept {
-    return 1U << static_cast<unsigned>(e);
-  }
 };
 
 /// A two-phase signal: `write()` stores a next value that becomes visible to
@@ -231,21 +207,9 @@ class Signal final : public SignalBase {
     if (cur_ == next_) {
       return 0;
     }
-    const bool was_false = is_false(cur_);
     cur_ = next_;
-    const bool now_true = !is_false(cur_);
-    notify(/*rose=*/was_false && now_true, /*fell=*/!was_false && !now_true);
+    notify();
     return 1;
-  }
-
-  static bool is_false(const T& v) {
-    if constexpr (std::is_same_v<T, bool>) {
-      return !v;
-    } else if constexpr (std::is_integral_v<T>) {
-      return v == T{0};
-    } else {
-      return false;
-    }
   }
 
   T cur_;
@@ -290,7 +254,7 @@ class BitVector final : public SignalBase {
   }
 
   /// Wake `proc` whenever wire `i` changes.  (SignalBase::subscribe still
-  /// subscribes to the whole word, with integer edge semantics.)
+  /// subscribes to the whole word: any flipped bit wakes it.)
   void subscribe_bit(unsigned i, Process& proc);
 
   std::string value_string() const override { return std::to_string(cur_); }
@@ -312,6 +276,42 @@ class BitVector final : public SignalBase {
   std::vector<std::vector<Process*>> bit_subs_;  ///< per wire, in order
 };
 
+/// The clock (`hclk` in the RTL fabric): a one-bit wire that only the
+/// kernel drives.  It starts low and toggles once per tick, so one bus
+/// cycle is two ticks and the rising edges fall on odd ticks.  A toggle is
+/// an ordinary commit (one delta, one signal commit), but subscribers wake
+/// on the rising edge only: the falling edge wakes nobody.  At most one
+/// clock per kernel (AHBP_ASSERT); its component owns it, and it registers
+/// as a signal like any other wire, so VCDs and checkpoints list it where
+/// it was constructed.
+class Clock final : public SignalBase {
+ public:
+  Clock(EventKernel& kernel, std::string name);
+  ~Clock() override;
+
+  /// Current (committed) level.
+  bool read() const noexcept { return cur_; }
+
+  std::string value_string() const override { return cur_ ? "1" : "0"; }
+
+  std::uint64_t snapshot_value() const override { return cur_ ? 1 : 0; }
+
+  void restore_value(std::uint64_t bits) override { cur_ = bits != 0; }
+
+ private:
+  friend class EventKernel;
+  void toggle() { request_update(); }
+  unsigned commit() override {
+    cur_ = !cur_;
+    if (cur_) {
+      notify();
+    }
+    return 1;
+  }
+
+  bool cur_ = false;
+};
+
 /// Activity counters exposed for the speed benchmarks and tests.
 struct KernelStats {
   std::uint64_t deltas = 0;               ///< evaluate/update rounds executed
@@ -319,22 +319,15 @@ struct KernelStats {
   /// Committed changes, counted per wire: a Signal<T> that changed counts
   /// one, a BitVector counts each bit that flipped.
   std::uint64_t signal_commits = 0;
-  std::uint64_t timed_events = 0;         ///< timed callbacks dispatched
+  std::uint64_t timed_events = 0;  ///< clock edges: one per tick
 };
 
 /// The event-driven kernel itself.
 ///
-/// Components allocate Signals and Processes against the kernel, subscribe
-/// sensitivities, then the testbench calls run_until().
+/// Components allocate Signals, Processes and the Clock against the kernel,
+/// subscribe sensitivities, then the testbench calls run_until().
 class EventKernel {
  public:
-  using EventFn = InlineFunction<void()>;
-
-  /// Ring size for near-future timed events.  A clock with period P
-  /// schedules its next edge P/2 ticks out, so any sane clocking fits the
-  /// ring and never touches the overflow heap.
-  static constexpr Tick kTimedWheel = 16;
-
   EventKernel() = default;
 
   EventKernel(const EventKernel&) = delete;
@@ -343,33 +336,12 @@ class EventKernel {
   /// Current simulated time.
   Tick now() const noexcept { return now_; }
 
-  /// Schedule a one-shot callback `delay` ticks from now (delay 0 means the
-  /// next delta of the current timestep).  The handler is built in place
-  /// in its queue slot; near-future events (delay < kTimedWheel — the
-  /// clock's next edge) take an O(1) append to the bucketed ring, the rest
-  /// go to the overflow heap.  The window is narrower than the ring, so a
-  /// bucket never mixes timestamps, and appends arrive in seq order.
-  template <typename F>
-  void schedule(Tick delay, F&& fn) {
-    const Tick at = now_ + delay;
-    if (delay < kTimedWheel) {
-      timed_ring_[at % kTimedWheel].emplace_back(at, seq_++,
-                                                 std::forward<F>(fn));
-    } else {
-      schedule_far(at, EventFn(std::forward<F>(fn)));
-    }
-    ++timed_count_;
-  }
-
-  /// Run until simulated time reaches `until` (inclusive of events at
-  /// `until`) or until no events remain.
+  /// Settle, then for each tick up to `until`: advance time, toggle the
+  /// clock and settle.  Needs a clock (AHBP_ASSERT).
   void run_until(Tick until);
 
   /// Settle all deltas at the current time without advancing time.
   void settle();
-
-  /// True if no timed events remain.
-  bool idle() const noexcept { return timed_count_ == 0; }
 
   const KernelStats& stats() const noexcept { return stats_; }
 
@@ -388,9 +360,9 @@ class EventKernel {
   /// settled point: no runnable process, no pending commit.
   ///
   /// Time is deliberately *not* saved: a restored kernel restarts at tick 0
-  /// with the same edge alignment a fresh platform has (one tick before the
-  /// next rising edge), so components — which count bus cycles, not ticks —
-  /// resume cycle-exactly.
+  /// with the same edge alignment a fresh platform has (the clock low, one
+  /// tick before the next rising edge), so components — which count bus
+  /// cycles, not ticks — resume cycle-exactly.
   void save_signals(state::StateWriter& w) const;
 
   /// Restore into a freshly constructed platform of the same topology.
@@ -399,6 +371,7 @@ class EventKernel {
   void restore_signals(state::StateReader& r);
 
  private:
+  friend class Clock;
   friend class Process;
   friend class SignalBase;
 
@@ -412,51 +385,16 @@ class EventKernel {
   void register_signal(SignalBase& s);
   void unregister_signal(SignalBase& s);
 
-  /// Push an event beyond the ring window onto the overflow heap.
-  void schedule_far(Tick at, EventFn fn);
-
   /// Run evaluate/update delta rounds until quiescent.
   void run_delta_rounds();
 
-  /// Earliest pending timed event, or kNeverTick.  Scans the ring from
-  /// now_ and stops at the first non-empty bucket: for a clock that is
-  /// half a period of buckets, not the whole ring.
-  Tick next_event_time() const noexcept;
-
-  /// Dispatch every timed event at timestamp `at` (including events
-  /// scheduled for `at` by the handlers themselves), in (at, seq) order.
-  /// A timestep fed by the ring alone (the clock's lone edge event) is
-  /// taken by one vector swap and needs no sort.
-  void dispatch_at(Tick at);
-
-  struct TimedEvent {
-    Tick at;
-    std::uint64_t seq;  // FIFO order among same-time events
-    EventFn fn;
-  };
-  struct TimedEventLater {
-    bool operator()(const TimedEvent& a, const TimedEvent& b) const noexcept {
-      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-    }
-  };
-
   Tick now_ = 0;
-  std::uint64_t seq_ = 0;
+  Clock* clock_ = nullptr;
   std::vector<Process*> runnable_;
   std::vector<SignalBase*> updates_;
   std::vector<Process*> run_scratch_;       ///< recycled delta-round buffer
   std::vector<SignalBase*> commit_scratch_; ///< recycled delta-round buffer
   std::vector<SignalBase*> signals_;
-
-  /// Bucketed ring for events with at in [now_, now_ + kTimedWheel).  Each
-  /// non-empty bucket holds exactly one timestamp (the window is narrower
-  /// than the ring), in seq order.  Bucket vectors keep their capacity.
-  std::array<std::vector<TimedEvent>, kTimedWheel> timed_ring_;
-  /// Overflow min-heap (std::push_heap/pop_heap over a reused vector) for
-  /// far-future events; entries are moved out on pop, never copied.
-  std::vector<TimedEvent> timed_heap_;
-  std::vector<TimedEvent> dispatch_scratch_;  ///< recycled dispatch buffer
-  std::size_t timed_count_ = 0;
 
   KernelStats stats_;
   obs::SelfProfiler* profiler_ = nullptr;

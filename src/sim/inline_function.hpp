@@ -6,11 +6,10 @@
 #include <utility>
 
 /// \file inline_function.hpp
-/// Small-buffer callable for the simulation kernels' hot paths.
+/// Small-buffer callable for the event kernel's hot path.
 ///
-/// `std::function` heap-allocates large captures, copies on every
-/// priority-queue shuffle, and its copyability forces every capture to be
-/// copyable.  The kernels need none of that: event handlers and process
+/// `std::function` heap-allocates large captures, and its copyability
+/// forces every capture to be copyable.  The kernel needs neither: process
 /// bodies are created once, moved into place, invoked many times.
 /// `InlineFunction` is the minimal replacement — move-only, fixed inline
 /// storage, no heap fallback.  A capture larger than the inline buffer is
@@ -24,8 +23,8 @@
 namespace ahbp::sim {
 
 /// Default inline capacity: enough for a `this` pointer plus a few words
-/// of context — every kernel-internal callable fits (Clock's `[this]`
-/// toggle, the fabric's process bodies capture a single object pointer).
+/// of context — every process body fits (the fabric's capture a single
+/// object pointer).
 inline constexpr std::size_t kInlineFnCapacity = 48;
 
 template <typename Signature, std::size_t Capacity = kInlineFnCapacity>

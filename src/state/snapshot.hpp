@@ -47,8 +47,11 @@ namespace ahbp::state {
 /// state.  v5: `farm-msg` envelope for the process sweep farm's wire
 /// protocol.  v6: `farm-msg` dropped along with the farm.  v7: the RTL
 /// `signals` section lists each bit-level bus as one packed entry (e.g.
-/// `pin.haddr`) instead of one entry per pin.
-inline constexpr std::uint32_t kFormatVersion = 7;
+/// `pin.haddr`) instead of one entry per pin.  v8: the RTL clock's edge
+/// counter and run flag leave `rtl-fabric`, and the TLM's `now` and
+/// evaluation count sit directly in `platform` (no `cycle-kernel`
+/// sub-section).
+inline constexpr std::uint32_t kFormatVersion = 8;
 
 /// Any save/restore failure: malformed file, version mismatch, type or
 /// section-tag mismatch, or a component-level incompatibility (e.g. a

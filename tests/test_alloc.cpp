@@ -1,9 +1,9 @@
 // Allocation-bounded hot paths — regression tests for the kernel-speed work.
 //
 // This binary replaces global operator new/delete with counting wrappers.
-// Event dispatch in the EventKernel must perform ZERO heap allocations per
-// iteration (see src/sim/inline_function.hpp and the bucketed timed-event
-// ring in event_kernel.hpp).  The TLM platform allocates per transaction
+// The EventKernel's clock edges and delta rounds must perform ZERO heap
+// allocations per iteration (see src/sim/inline_function.hpp and the
+// recycled delta-round buffers in event_kernel.hpp).  The TLM platform allocates per transaction
 // (script pops, write-buffer entries), never per cycle: its allocations
 // are bounded per retired transaction.  A regression shows up here as a
 // counter delta, not as a slower benchmark much later.
@@ -99,75 +99,51 @@ TEST(AllocFree, RtlAllocationsScaleWithTransactionsNotCycles) {
 }
 
 TEST(AllocFree, EventKernelDispatchesMillionEventsWithoutHeapChurn) {
+  // The clock alone: every tick is one timed event and one commit, every
+  // other tick wakes a clocked process.
   sim::EventKernel kernel;
+  sim::Clock clk(kernel, "clk");
+  std::uint64_t rises = 0;
+  sim::Process proc(kernel, "count", [&rises] { ++rises; });
+  clk.subscribe(proc);
 
-  // A self-rescheduling ticker — the clock idiom.  The capture is one
-  // pointer, far under InlineFunction's buffer, so every schedule() builds
-  // the node in place; near-future delays stay in the bucketed ring.
-  struct Ticker {
-    sim::EventKernel* k;
-    std::uint64_t remaining;
-    std::uint64_t fired = 0;
-    void operator()() {
-      ++fired;
-      if (remaining-- > 0) {
-        k->schedule(2, [this] { (*this)(); });
-      }
-    }
-  };
-  constexpr std::uint64_t kEvents = 1'000'000;
-  Ticker t{&kernel, kEvents};
-  kernel.schedule(0, [&t] { t(); });
-
-  kernel.run_until(2 * 1000);  // warm-up: ring + scratch reach capacity
+  constexpr sim::Tick kEdges = 1'000'000;
+  kernel.run_until(2 * 1000);  // warm-up: scratch vectors reach capacity
 
   const std::uint64_t before = g_allocs;
-  kernel.run_until(2 * (kEvents + 2));
+  kernel.run_until(2 * 1000 + kEdges);
   const std::uint64_t after = g_allocs;
 
-  EXPECT_TRUE(kernel.idle());
-  EXPECT_EQ(t.fired, kEvents + 1);
+  EXPECT_EQ(rises, 1000 + kEdges / 2);
+  EXPECT_EQ(kernel.stats().timed_events, 2 * 1000 + kEdges);
   EXPECT_EQ(after - before, 0u)
       << "EventKernel dispatch hit the heap " << (after - before)
-      << " times over ~1M timed events";
-  EXPECT_GE(kernel.stats().timed_events, kEvents);
+      << " times over ~1M clock edges";
 }
 
 TEST(AllocFree, EventKernelSignalCommitLoopAllocatesNothing) {
-  // The delta loop: a process subscribed to a signal it toggles via a
-  // timed echo.  Steady-state evaluate/update rounds must recycle their
+  // The delta loop: a clocked process toggles a signal on every rising
+  // edge, and a combinational process follows it into a second signal one
+  // delta later.  Steady-state evaluate/update rounds must recycle their
   // scratch vectors instead of reallocating them.
   sim::EventKernel kernel;
-  sim::Signal<bool> clk(kernel, "clk");
-  std::uint64_t edges = 0;
-  sim::Process proc(kernel, "count", [&edges] { ++edges; });
-  clk.subscribe(proc, sim::Edge::kPos);
-
-  struct Driver {
-    sim::EventKernel* k;
-    sim::Signal<bool>* clk;
-    bool level = false;
-    std::uint64_t remaining;
-    void operator()() {
-      if (remaining-- == 0) {
-        return;
-      }
-      level = !level;
-      clk->write(level);
-      k->schedule(1, [this] { (*this)(); });
-    }
-  };
-  Driver d{&kernel, &clk, false, 200'000};
-  kernel.schedule(0, [&d] { d(); });
+  sim::Clock clk(kernel, "clk");
+  sim::Signal<bool> q(kernel, "q");
+  sim::Signal<std::uint32_t> count(kernel, "count");
+  sim::Process flop(kernel, "flop", [&q] { q.write(!q.read()); });
+  sim::Process follow(kernel, "follow",
+                      [&count] { count.write(count.read() + 1); });
+  clk.subscribe(flop);
+  q.subscribe(follow);
 
   kernel.run_until(1000);  // warm-up
 
   const std::uint64_t before = g_allocs;
-  kernel.run_until(300'000);
+  kernel.run_until(1000 + 1'000'000);
   const std::uint64_t after = g_allocs;
 
-  EXPECT_TRUE(kernel.idle());
-  EXPECT_GT(edges, 50'000u);
+  EXPECT_EQ(count.read(), 500'500u);  // one follow-up per rising edge
+  EXPECT_EQ(kernel.stats().deltas, 3 * 500'500u + 500'500u);
   EXPECT_EQ(after - before, 0u)
       << "signal/delta loop hit the heap " << (after - before) << " times";
 }

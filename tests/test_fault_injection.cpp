@@ -6,10 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "assertions/bus_checker.hpp"
 #include "assertions/violation.hpp"
 #include "rtl/signals.hpp"
-#include "sim/clock.hpp"
 #include "sim/event_kernel.hpp"
 
 namespace {
@@ -21,7 +22,7 @@ using namespace ahbp::rtl;
 /// "rogue driver" process, and the checker observing like the fabric does.
 struct Bench {
   sim::EventKernel kernel;
-  sim::Clock clock{kernel, "clk", 2};
+  sim::Clock clock{kernel, "clk"};
   SharedWires sh{kernel, 2, 4};
   MasterWires m0{kernel, 0};
   chk::ViolationLog log;
@@ -53,8 +54,8 @@ struct Bench {
                        }};
 
   Bench() {
-    clock.signal().subscribe(drive, sim::Edge::kPos);
-    clock.signal().subscribe(observe, sim::Edge::kPos);
+    clock.subscribe(drive);
+    clock.subscribe(observe);
   }
 
   void run(sim::Cycle cycles) { kernel.run_until(kernel.now() + cycles * 2); }

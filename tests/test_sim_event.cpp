@@ -1,8 +1,7 @@
 // Unit tests for the event-driven kernel: two-phase signals, packed bit
-// vectors, delta cycles, edge-filtered subscriptions, timed-event ordering,
-// clocks and the VCD writer.  The subscription-order guarantee is
-// load-bearing for the RTL fabric (arbiter runs before the write buffer),
-// so it is pinned here.
+// vectors, delta cycles, the clock and the VCD writer.  The
+// subscription-order guarantee is load-bearing for the RTL fabric (arbiter
+// runs before the write buffer), so it is pinned here.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/clock.hpp"
 #include "sim/event_kernel.hpp"
 #include "sim/vcd.hpp"
 
@@ -311,39 +309,6 @@ TEST(BitVector, MatchesOneBitSignalsEventForEvent) {
   EXPECT_GT(b.k.stats().signal_commits, 200u);
 }
 
-TEST(Signal, PosedgeSubscriptionFiltersEdges) {
-  EventKernel k;
-  Signal<bool> s(k, "s", false);
-  int pos = 0, neg = 0, any = 0;
-  Process pp(k, "pos", [&] { ++pos; });
-  Process pn(k, "neg", [&] { ++neg; });
-  Process pa(k, "any", [&] { ++any; });
-  s.subscribe(pp, Edge::kPos);
-  s.subscribe(pn, Edge::kNeg);
-  s.subscribe(pa, Edge::kAny);
-  s.write(true);
-  k.settle();
-  s.write(false);
-  k.settle();
-  EXPECT_EQ(pos, 1);
-  EXPECT_EQ(neg, 1);
-  EXPECT_EQ(any, 2);
-}
-
-TEST(Signal, IntegerEdgeSemantics) {
-  // For integral signals, "rising" means zero -> nonzero.
-  EventKernel k;
-  Signal<int> s(k, "s", 0);
-  int pos = 0;
-  Process p(k, "p", [&] { ++pos; });
-  s.subscribe(p, Edge::kPos);
-  s.write(3);
-  k.settle();
-  s.write(5);  // nonzero -> nonzero: not a rising edge
-  k.settle();
-  EXPECT_EQ(pos, 1);
-}
-
 TEST(Delta, ChainedCombinationalProcessesCascade) {
   // a -> (p1) -> b -> (p2) -> c settles across delta rounds in one settle().
   EventKernel k;
@@ -376,167 +341,98 @@ TEST(Delta, SubscriptionOrderIsExecutionOrder) {
   // The RTL fabric depends on this: processes subscribed to the same
   // signal run in subscription order within a delta round.
   EventKernel k;
-  Signal<bool> clk(k, "clk", false);
+  Signal<bool> s(k, "s", false);
   std::vector<int> order;
   Process p1(k, "p1", [&] { order.push_back(1); });
   Process p2(k, "p2", [&] { order.push_back(2); });
   Process p3(k, "p3", [&] { order.push_back(3); });
-  clk.subscribe(p1, Edge::kPos);
-  clk.subscribe(p2, Edge::kPos);
-  clk.subscribe(p3, Edge::kPos);
-  clk.write(true);
+  s.subscribe(p1);
+  s.subscribe(p2);
+  s.subscribe(p3);
+  s.write(true);
   k.settle();
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(TimedEvents, FireInTimeOrder) {
+TEST(Clock, RisesOnOddTicks) {
+  // Starts low and toggles every tick: rising edges at ticks 1, 3, 5, ...
   EventKernel k;
-  std::vector<int> seq;
-  k.schedule(20, [&] { seq.push_back(2); });
-  k.schedule(10, [&] { seq.push_back(1); });
-  k.schedule(30, [&] { seq.push_back(3); });
+  Clock clk(k, "clk");
+  EXPECT_FALSE(clk.read());
+  std::vector<Tick> rises;
+  Process p(k, "p", [&] { rises.push_back(k.now()); });
+  clk.subscribe(p);
+  k.run_until(1);
+  EXPECT_TRUE(clk.read());
+  k.run_until(10);
+  EXPECT_FALSE(clk.read());  // settled one tick before the next rising edge
+  EXPECT_EQ(rises, (std::vector<Tick>{1, 3, 5, 7, 9}));
+  EXPECT_EQ(k.now(), 10u);
+}
+
+TEST(Clock, SubscribersWakeInSubscriptionOrder) {
+  EventKernel k;
+  Clock clk(k, "clk");
+  std::vector<int> order;
+  Process p1(k, "p1", [&] { order.push_back(1); });
+  Process p2(k, "p2", [&] { order.push_back(2); });
+  Process p3(k, "p3", [&] { order.push_back(3); });
+  clk.subscribe(p2);
+  clk.subscribe(p3);
+  clk.subscribe(p1);
+  k.run_until(2);
+  EXPECT_EQ(order, (std::vector<int>{2, 3, 1}));
+}
+
+TEST(Clock, FallingEdgeCommitsButWakesNobody) {
+  EventKernel k;
+  Clock clk(k, "clk");
+  int runs = 0;
+  Process p(k, "p", [&] { ++runs; });
+  clk.subscribe(p);
+  k.run_until(1);  // rising: one commit delta, one process delta
+  const KernelStats rise = k.stats();
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(rise.deltas, 2u);
+  EXPECT_EQ(rise.process_activations, 1u);
+  EXPECT_EQ(rise.signal_commits, 1u);
+  k.run_until(2);  // falling: the commit delta alone
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(k.stats().deltas, rise.deltas + 1);
+  EXPECT_EQ(k.stats().process_activations, rise.process_activations);
+  EXPECT_EQ(k.stats().signal_commits, rise.signal_commits + 1);
+}
+
+TEST(Clock, CountsOneTimedEventPerTick) {
+  EventKernel k;
+  Clock clk(k, "clk");
+  k.run_until(41);
+  EXPECT_EQ(k.stats().timed_events, 41u);
+  k.run_until(41);  // no tick elapses: no edge
+  EXPECT_EQ(k.stats().timed_events, 41u);
   k.run_until(100);
-  EXPECT_EQ(seq, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(k.stats().timed_events, 100u);
   EXPECT_EQ(k.now(), 100u);
 }
 
-TEST(TimedEvents, SameTimeFifoOrder) {
+TEST(Clock, SecondClockOnOneKernelRejected) {
   EventKernel k;
-  std::vector<int> seq;
-  k.schedule(5, [&] { seq.push_back(1); });
-  k.schedule(5, [&] { seq.push_back(2); });
-  k.run_until(5);
-  EXPECT_EQ(seq, (std::vector<int>{1, 2}));
+  {
+    Clock clk(k, "clk");
+    EXPECT_THROW(Clock(k, "clk2"), std::logic_error);
+    EXPECT_EQ(k.signals().size(), 1u);  // the rejected clock unregistered
+    k.run_until(3);
+    EXPECT_TRUE(clk.read());  // the first clock still drives the kernel
+  }
+  Clock again(k, "clk");  // a destroyed clock frees the slot
+  EXPECT_EQ(k.signals().size(), 1u);
 }
 
-TEST(TimedEvents, RunUntilStopsAtBoundary) {
+TEST(Clock, RunUntilNeedsClock) {
   EventKernel k;
-  int fired = 0;
-  k.schedule(10, [&] { ++fired; });
-  k.schedule(11, [&] { ++fired; });
-  k.run_until(10);
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(k.idle());
-  k.run_until(11);
-  EXPECT_EQ(fired, 2);
-  EXPECT_TRUE(k.idle());
-}
-
-TEST(TimedEvents, NestedSchedulingWorks) {
-  EventKernel k;
-  int fired = 0;
-  k.schedule(1, [&] {
-    ++fired;
-    k.schedule(1, [&] { ++fired; });
-  });
-  k.run_until(5);
-  EXPECT_EQ(fired, 2);
-}
-
-// The timed fast path: a tick fed by the ring alone (the clock's edge)
-// dispatches without a sort, a tick that mixes ring and heap events merges
-// them by seq, and a handler's delay-0 event runs in the same timed phase.
-
-TEST(TimedEvents, DelayZeroFromClockEdgeHandlerRunsBeforeCommit) {
-  EventKernel k;
-  Clock clk(k, "clk", 2);  // first rising edge at tick 1
-  std::vector<std::string> order;
-  bool clk_seen_by_chained = true;
-  // Same tick as the edge, scheduled after the clock armed itself.
-  k.schedule(1, [&] {
-    order.push_back("edge-handler");
-    k.schedule(0, [&] {
-      order.push_back("chained");
-      clk_seen_by_chained = clk.signal().read();
-    });
-  });
-  k.run_until(1);
-  EXPECT_EQ(order, (std::vector<std::string>{"edge-handler", "chained"}));
-  // Both handlers run in tick 1's timed phase, before the edge commits.
-  EXPECT_FALSE(clk_seen_by_chained);
-  EXPECT_TRUE(clk.signal().read());
-  EXPECT_EQ(k.now(), 1u);
-  EXPECT_EQ(k.stats().timed_events, 3u);  // toggle + handler + chained
-}
-
-TEST(TimedEvents, HeapAndRingEventsOnOneTickKeepSeqOrder) {
-  EventKernel k;
-  std::vector<int> order;
-  // Far future: beyond the ring window, so these go to the overflow heap.
-  static_assert(EventKernel::kTimedWheel <= 20);
-  k.schedule(20, [&] { order.push_back(1); });
-  k.schedule(30, [&] { order.push_back(5); });
-  k.schedule(20, [&] { order.push_back(2); });
-  k.run_until(10);
-  // Near future from tick 10: the same tick 20, now through the ring.
-  k.schedule(10, [&] { order.push_back(3); });
-  k.schedule(10, [&] {
-    order.push_back(4);
-    k.schedule(0, [&] { order.push_back(40); });
-  });
-  k.run_until(20);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 40}));
-  k.run_until(30);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 40, 5}));
-  EXPECT_TRUE(k.idle());
-}
-
-TEST(TimedEvents, EachDispatchedEventCountsOnce) {
-  EventKernel k;
-  Clock clk(k, "clk", 2);
-  std::uint64_t handlers = 0;
-  struct Chain {
-    EventKernel* k;
-    std::uint64_t* n;
-    int left;
-    void operator()() {
-      ++*n;
-      if (left-- > 0) {
-        k->schedule(0, *this);  // same tick
-      }
-    }
-  };
-  k.schedule(3, Chain{&k, &handlers, 2});    // ring, on a clock edge
-  k.schedule(40, Chain{&k, &handlers, 0});   // heap
-  k.schedule(40, [&handlers] { ++handlers; });
-  k.run_until(41);
-  clk.stop();
-  k.run_until(100);  // the pending toggle drains as a no-op handler
-  // A toggle at every tick in [1, 41] (21 of them rising), one drained
-  // toggle at 42, and 3 + 1 + 1 handlers.
-  EXPECT_EQ(clk.posedges(), 21u);
-  EXPECT_EQ(handlers, 5u);
-  EXPECT_EQ(k.stats().timed_events, 41u + 1u + handlers);
-  EXPECT_TRUE(k.idle());
-}
-
-TEST(Clock, GeneratesExpectedPosedges) {
-  EventKernel k;
-  Clock clk(k, "clk", 2);
-  int edges = 0;
-  Process p(k, "p", [&] { ++edges; });
-  clk.signal().subscribe(p, Edge::kPos);
-  k.run_until(20);
-  // period 2: rising at t=1,3,5,...,19 -> 10 edges
-  EXPECT_EQ(edges, 10);
-  EXPECT_EQ(clk.posedges(), 10u);
-}
-
-TEST(Clock, RejectsOddOrTinyPeriod) {
-  EventKernel k;
-  EXPECT_THROW(Clock(k, "c1", 1), std::invalid_argument);
-  EXPECT_THROW(Clock(k, "c2", 3), std::invalid_argument);
-}
-
-TEST(Clock, StopHaltsToggling) {
-  EventKernel k;
-  Clock clk(k, "clk", 2);
-  k.run_until(10);
-  const auto edges = clk.posedges();
-  clk.stop();
-  k.run_until(20);
-  EXPECT_EQ(clk.posedges(), edges);
+  EXPECT_THROW(k.run_until(10), std::logic_error);
+  EXPECT_EQ(k.now(), 0u);
 }
 
 TEST(Stats, CountersAdvance) {
@@ -549,14 +445,6 @@ TEST(Stats, CountersAdvance) {
   EXPECT_GE(k.stats().deltas, 1u);
   EXPECT_GE(k.stats().signal_commits, 1u);
   EXPECT_GE(k.stats().process_activations, 1u);
-}
-
-TEST(Stats, TimedEventCounter) {
-  EventKernel k;
-  k.schedule(1, [] {});
-  k.schedule(2, [] {});
-  k.run_until(5);
-  EXPECT_EQ(k.stats().timed_events, 2u);
 }
 
 TEST(Vcd, EmitsHeaderAndChanges) {
